@@ -9,6 +9,7 @@
 use std::time::Instant;
 
 use rand::{rngs::StdRng, SeedableRng};
+use spp_core::json::escape;
 use spp_engine::{solve, Registry, SolveRequest};
 use spp_gen::rects::DagFamily;
 
@@ -29,18 +30,6 @@ pub struct BenchRecord {
     pub ratio: f64,
     /// Wall-clock seconds for the whole cell.
     pub wall_s: f64,
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Serialize records as a JSON array (pretty, one record per line —

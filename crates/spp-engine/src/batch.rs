@@ -1,9 +1,10 @@
-//! The one cell-execution pipeline behind batch, shard, and resume.
+//! The one cell-execution pipeline behind every batch mode.
 //!
 //! A **cell** is an `(instance, solver, config)` triple; everything the
-//! engine runs at scale — `run_batch` over in-memory jobs, `run_shard`
-//! over instance files, warm resumes of either — is a list of cells fed
-//! through [`execute_cells`]: look the cell up in the
+//! engine runs at scale — `spp batch --families` over in-memory jobs,
+//! [`execute_lease`](crate::work::execute_lease) over instance files (each
+//! shard, local lease and dispatched chunk), warm resumes of either — is a
+//! list of cells fed through [`execute_cells`]: look the cell up in the
 //! [`SolveCache`](crate::cache::SolveCache) (if one is attached), invoke
 //! the solver only on a miss, write the portable outcome back, and
 //! return deterministically ordered results. There is no second
@@ -11,8 +12,11 @@
 //! is bounded by I/O, not solver time.
 //!
 //! Cells run in parallel over `spp_par::par_map` with deterministic
-//! result ordering (job-major, then solver input order) and aggregate
-//! per-solver statistics.
+//! result ordering (job-major, then solver input order).
+//! [`cell_rows`](crate::work::cell_rows) reduces the outcomes to the
+//! portable rows of a [`MergedReport`](crate::sharding::MergedReport),
+//! whose [`summary`](crate::sharding::MergedReport::summary) is the one
+//! per-solver aggregate.
 
 use std::time::Duration;
 
@@ -120,10 +124,10 @@ impl CellOutcome {
 /// `(status, makespan, combined lower bound)`.
 ///
 /// This is the **one** definition of the Solved / Invalid / Unsupported
-/// rule: the executor uses it to produce cells and cache entries, the
-/// aggregates use it to count, and `spp cache verify` uses it to
-/// re-classify fresh solves — so the classification can never drift
-/// between what the cache stores and what a verifier recomputes.
+/// rule: the executor uses it to produce cells and cache entries (which
+/// the aggregates count), and `spp cache verify` uses it to re-classify
+/// fresh solves — so the classification can never drift between what
+/// the cache stores and what a verifier recomputes.
 pub fn classify_outcome(outcome: &Result<SolveReport, EngineError>) -> (CellStatus, f64, f64) {
     match outcome {
         Ok(report) => {
@@ -231,123 +235,13 @@ pub fn execute_cells(
     outcomes.into_iter().collect()
 }
 
-/// Outcome of one (job, solver) cell in [`run_batch`]'s full-report view.
-pub struct BatchResult {
-    /// Index into the jobs slice.
-    pub job: usize,
-    /// The job's label.
-    pub label: String,
-    /// The solver's name.
-    pub solver: String,
-    pub outcome: Result<SolveReport, EngineError>,
-}
-
-/// Aggregate statistics for one solver across every job it ran.
-#[derive(Debug, Clone)]
-pub struct SolverStats {
-    pub solver: String,
-    /// Cells that produced a report with passing (or skipped) validation.
-    pub solved: usize,
-    /// Cells refused with an engine error (capability or model mismatch).
-    pub unsupported: usize,
-    /// Cells whose placement failed validation (solver bugs).
-    pub invalid: usize,
-    /// Mean makespan / combined-lower-bound over solved cells.
-    pub mean_ratio: f64,
-    /// Worst ratio over solved cells.
-    pub max_ratio: f64,
-    /// Sum of makespans over solved cells (comparable across solvers only
-    /// when they solved the same cells).
-    pub total_makespan: f64,
-    /// Sum of per-report phase timings (CPU cost, not wall clock — cells
-    /// run in parallel).
-    pub total_time: Duration,
-}
-
-/// Aggregated view of a batch run: one [`SolverStats`] per solver, in the
-/// order the solvers were passed (deterministic).
-#[derive(Debug, Clone)]
-pub struct BatchSummary {
-    pub per_solver: Vec<SolverStats>,
-}
-
-impl BatchSummary {
-    fn from_results(solvers: &[Box<dyn Solver>], results: &[BatchResult]) -> Self {
-        let per_solver = solvers
-            .iter()
-            .map(|s| {
-                let name = s.name();
-                let mut stats = SolverStats {
-                    solver: name.to_string(),
-                    solved: 0,
-                    unsupported: 0,
-                    invalid: 0,
-                    mean_ratio: 0.0,
-                    max_ratio: 0.0,
-                    total_makespan: 0.0,
-                    total_time: Duration::ZERO,
-                };
-                let mut ratios: Vec<f64> = Vec::new();
-                for r in results.iter().filter(|r| r.solver == name) {
-                    if let Ok(report) = &r.outcome {
-                        stats.total_time += report.total_time();
-                    }
-                    match classify_outcome(&r.outcome).0 {
-                        CellStatus::Solved => {
-                            let report = r.outcome.as_ref().expect("solved cells carry a report");
-                            stats.solved += 1;
-                            stats.total_makespan += report.makespan;
-                            let ratio = report.ratio();
-                            if ratio.is_finite() {
-                                ratios.push(ratio);
-                            }
-                        }
-                        CellStatus::Invalid => stats.invalid += 1,
-                        // Any engine refusal counts as unsupported.
-                        CellStatus::Unsupported => stats.unsupported += 1,
-                    }
-                }
-                if !ratios.is_empty() {
-                    stats.mean_ratio = ratios.iter().sum::<f64>() / ratios.len() as f64;
-                    stats.max_ratio = ratios.iter().cloned().fold(f64::MIN, f64::max);
-                }
-                stats
-            })
-            .collect();
-        BatchSummary { per_solver }
-    }
-}
-
-/// Run every solver on every job, in parallel, and return per-cell
-/// results (with full reports) plus per-solver aggregates.
-///
-/// This is the full-report view of [`execute_cells`] for consumers that
-/// need placements and timings; it runs cache-less, so every cell is
-/// freshly solved. Throughput-oriented consumers (sharding, the CLI's
-/// file mode) call [`execute_cells`] with a cache instead.
-pub fn run_batch(
-    jobs: &[BatchJob],
-    solvers: &[Box<dyn Solver>],
-) -> (Vec<BatchResult>, BatchSummary) {
-    let results: Vec<BatchResult> = execute_cells(jobs, solvers, None)
-        .expect("cache-less execution cannot fail")
-        .into_iter()
-        .map(|c| BatchResult {
-            job: c.job,
-            label: c.label,
-            solver: c.solver,
-            outcome: c.outcome.expect("cache-less cells always solve"),
-        })
-        .collect();
-    let summary = BatchSummary::from_results(solvers, &results);
-    (results, summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::MemoryCache;
     use crate::registry::Registry;
+    use crate::sharding::{MergedReport, SolverSummary};
+    use crate::work::cell_rows;
     use spp_core::Instance;
 
     fn jobs(n: usize) -> Vec<BatchJob> {
@@ -365,11 +259,19 @@ mod tests {
         names.iter().map(|n| registry.get(n).unwrap()).collect()
     }
 
+    /// The batch's per-solver aggregates, computed the way every `spp
+    /// batch` mode computes them.
+    fn summary(solvers: &[Box<dyn Solver>], outcomes: Vec<CellOutcome>) -> Vec<SolverSummary> {
+        let (cells, _) = cell_rows(outcomes, 0);
+        let solvers = solvers.iter().map(|s| s.name().to_string()).collect();
+        MergedReport { solvers, cells }.summary()
+    }
+
     #[test]
     fn deterministic_order_and_aggregates() {
         let solvers = solvers(&["nfdh", "ffdh", "skyline"]);
         let js = jobs(20);
-        let (results, summary) = run_batch(&js, &solvers);
+        let results = execute_cells(&js, &solvers, None).unwrap();
         assert_eq!(results.len(), 60);
         // Job-major, solver order within each job.
         assert_eq!(results[0].solver, "nfdh");
@@ -377,19 +279,26 @@ mod tests {
         assert_eq!(results[2].solver, "skyline");
         assert_eq!(results[3].job, 1);
         // Two identical runs agree cell-for-cell.
-        let (again, _) = run_batch(&js, &solvers);
+        let again = execute_cells(&js, &solvers, None).unwrap();
+        let report = |c: &CellOutcome| match &c.outcome {
+            Some(Ok(report)) => report.clone(),
+            _ => panic!("cache-less cells solve"),
+        };
         for (a, b) in results.iter().zip(&again) {
-            let (ra, rb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
+            let (ra, rb) = (report(a), report(b));
             assert_eq!(ra.makespan, rb.makespan);
             assert_eq!(ra.placement, rb.placement);
         }
         // Aggregates: every cell solved, sensible ratios.
-        assert_eq!(summary.per_solver.len(), 3);
-        for s in &summary.per_solver {
+        let summary = summary(&solvers, results);
+        assert_eq!(summary.len(), 3);
+        for s in &summary {
             assert_eq!(s.solved, 20, "{} solved {}", s.solver, s.solved);
+            assert_eq!(s.unsupported, 0);
             assert_eq!(s.invalid, 0);
             assert!(s.mean_ratio >= 1.0 - 1e-9, "{}", s.solver);
             assert!(s.max_ratio >= s.mean_ratio - 1e-12);
+            assert!(s.total_makespan > 0.0);
         }
     }
 
@@ -404,12 +313,13 @@ mod tests {
             registry.get("aptas").unwrap(),
             registry.get("nfdh").unwrap(),
         ];
-        let (results, summary) = run_batch(&js, &solvers);
+        let results = execute_cells(&js, &solvers, None).unwrap();
         assert_eq!(results.len(), 2);
-        assert!(results[0].outcome.is_err());
-        assert!(results[1].outcome.is_ok());
-        assert_eq!(summary.per_solver[0].unsupported, 1);
-        assert_eq!(summary.per_solver[1].solved, 1);
+        assert!(matches!(results[0].outcome, Some(Err(_))));
+        assert!(matches!(results[1].outcome, Some(Ok(_))));
+        let summary = summary(&solvers, results);
+        assert_eq!(summary[0].unsupported, 1);
+        assert_eq!(summary[1].solved, 1);
     }
 
     #[test]

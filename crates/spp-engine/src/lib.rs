@@ -33,13 +33,14 @@
 //! | [`solver`] | the [`Solver`] trait, [`Capabilities`], [`EngineError`] |
 //! | [`solvers`] | built-in implementations wrapping the algorithm crates |
 //! | [`registry`] | name → constructor + capability flags + advertised bounds |
-//! | [`batch`] | the one cell-execution pipeline (cache-consulting) + aggregates |
+//! | [`batch`] | the one cell-execution pipeline (cache-consulting) |
 //! | [`cache`] | content-addressed solve cache: key schema, memory + disk backends |
-//! | [`sharding`] | instance-file shards: plan, per-shard run, merge |
+//! | [`sharding`] | instance-file shards: plan, per-shard run, merge; the one batch result (`MergedReport`) |
 //! | [`work`] | pull-based work distribution: `WorkSource`, lease queue, pull loop |
 
 pub mod batch;
 pub mod cache;
+mod codec;
 pub mod registry;
 pub mod report;
 pub mod request;
@@ -48,17 +49,14 @@ pub mod solver;
 pub mod solvers;
 pub mod work;
 
-pub use batch::{
-    classify_outcome, execute_cells, run_batch, BatchJob, BatchResult, BatchSummary, CellOutcome,
-    CellStatus, SolverStats,
-};
+pub use batch::{classify_outcome, execute_cells, BatchJob, CellOutcome, CellStatus};
 pub use cache::{CacheError, CacheKey, CacheStats, CachedCell, DiskCache, MemoryCache, SolveCache};
 pub use registry::{AdvertisedBound, Registry, RegistryEntry};
 pub use report::{Constraint, LowerBounds, SolveReport, Validation};
 pub use request::{SolveConfig, SolveRequest};
 pub use sharding::{
-    merge_reports, run_shard, run_sharded, CellRow, MergedReport, ShardError, ShardPlan,
-    ShardReport, ShardRuntime, SolverSummary,
+    merge_reports, run_shard, run_sharded, CellRow, MergedReport, ShardPlan, ShardReport,
+    ShardRuntime, SolverSummary,
 };
 pub use solver::{solve, Capabilities, EngineError, Solver};
 pub use work::{

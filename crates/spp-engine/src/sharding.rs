@@ -18,32 +18,37 @@
 //!    different processes) into a [`MergedReport`] whose cells are in
 //!    global order, so the rendered summary is **byte-identical** to a
 //!    single-process run over the same inputs;
-//! 4. [`run_sharded`] drives all shards concurrently in one process
-//!    (capped outer parallelism via `spp_par::par_map_capped` — each
-//!    shard fans out again internally) and streams per-shard aggregates
-//!    to an observer as they finish.
+//! 4. [`run_sharded`] drives all shards concurrently in one process and
+//!    streams each completed shard to an observer.
+//!
+//! **A batch result has one form.** Every batch mode — `spp batch
+//! --families`, a file-mode run, a `--merge` of shard reports, and the
+//! dispatcher's `GET /work/report` — ends in a [`MergedReport`] of
+//! [`CellRow`]s, aggregated by [`MergedReport::summary`] and printed by
+//! [`MergedReport::render_table`].
 //!
 //! **A `ShardPlan` is one [`WorkSource`](crate::work::WorkSource)
-//! construction.** Since PR 5 the execution side of this module is a
-//! thin shard-shaped view over the pull-based work layer in
-//! [`crate::work`]: [`ShardPlan::work_queue`] partitions the plan's
-//! sorted file list into a [`WorkQueue`](crate::work::WorkQueue) whose
-//! chunks are exactly the shard ranges, [`run_shard`] executes one such
-//! chunk via [`execute_lease`](crate::work::execute_lease), and
-//! [`run_sharded`] drives the whole queue with in-process
+//! construction.** The execution side of this module is a thin
+//! shard-shaped view over the pull-based work layer in [`crate::work`]:
+//! [`ShardPlan::work_queue`] partitions the plan's sorted file list into a
+//! [`WorkQueue`](crate::work::WorkQueue) whose chunks are exactly the
+//! shard ranges, [`run_shard`] executes one such chunk via
+//! [`execute_lease`](crate::work::execute_lease), and [`run_sharded`]
+//! drives the whole queue with in-process
 //! [`pull_work`](crate::work::pull_work) workers — the same loop the
-//! distributed `spp work` pullers run against a remote dispatcher.
+//! distributed `spp work` pullers run against a remote dispatcher. A
+//! merge checks each shard's cells with the same chunk check the queue
+//! applies to every completion.
 //!
 //! **Resume is the cache.** There is no separate manifest code path:
 //! attach a [`DiskCache`](crate::cache::DiskCache) and every already
 //! solved `(instance, solver, config)` cell is served from disk, so a
-//! killed run redoes only its unfinished *cells* (finer than the old
-//! per-shard manifests), and adding/removing/renaming input files —
-//! which shifts the contiguous shard split — invalidates nothing: the
-//! cache key is the instance's content digest, not its position in the
-//! plan. Stale knobs are equally harmless: the key embeds the
-//! [`SolveConfig::signature`], so a run under different knobs simply
-//! misses.
+//! killed run redoes only its unfinished *cells*, and adding, removing or
+//! renaming input files — which shifts the contiguous shard split —
+//! invalidates nothing: the cache key is the instance's content digest,
+//! not its position in the plan. Stale knobs are equally harmless: the
+//! key embeds the [`SolveConfig::signature`], so a run under different
+//! knobs simply misses.
 //!
 //! Shard reports serialize as JSON (`spp-shard-report` documents) through
 //! the same hand-rolled layer as instance files, with `{:.17e}` floats,
@@ -54,64 +59,17 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use spp_core::hash::Fnv1a;
-use spp_core::json::{self, JsonValue};
+use spp_core::json;
 
 use crate::batch::CellStatus;
-use crate::cache::{CacheError, SolveCache};
+use crate::cache::SolveCache;
+use crate::codec::{self, Doc, Family};
 use crate::request::SolveConfig;
 use crate::solver::Solver;
-use crate::work::{execute_lease, pull_work, LocalPlan, WorkError, WorkLease, WorkQueue};
-
-/// Failures of the sharded pipeline. Per-cell solver refusals are *not*
-/// errors (they are [`CellStatus::Unsupported`] rows); these are the
-/// failures that abort a shard: unreadable inputs, malformed reports,
-/// inconsistent merges.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardError {
-    /// Filesystem failure.
-    Io { path: String, err: String },
-    /// An instance file failed to parse (message names field and line).
-    Load { path: String, err: String },
-    /// The plan parameters are unusable (zero shards, bad index).
-    BadPlan(String),
-    /// A shard report file is malformed or inconsistent with its peers.
-    BadReport { context: String, err: String },
-}
-
-impl From<CacheError> for ShardError {
-    fn from(e: CacheError) -> Self {
-        match e {
-            CacheError::Io { path, err } => ShardError::Io { path, err },
-        }
-    }
-}
-
-impl From<WorkError> for ShardError {
-    fn from(e: WorkError) -> Self {
-        match e {
-            WorkError::Io { path, err } => ShardError::Io { path, err },
-            WorkError::Load { path, err } => ShardError::Load { path, err },
-            WorkError::Protocol { context, err } => ShardError::BadReport { context, err },
-            WorkError::Aborted => ShardError::BadReport {
-                context: "work".into(),
-                err: "aborted".into(),
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardError::Io { path, err } => write!(f, "{path}: {err}"),
-            ShardError::Load { path, err } => write!(f, "{path}: {err}"),
-            ShardError::BadPlan(msg) => write!(f, "bad shard plan: {msg}"),
-            ShardError::BadReport { context, err } => write!(f, "{context}: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
+use crate::work::{
+    check_chunk, execute_lease, pull_work, LeaseObserver, LocalPlan, WorkError, WorkLease,
+    WorkQueue,
+};
 
 // ---------------------------------------------------------------------------
 // Shard planning
@@ -134,9 +92,9 @@ impl ShardPlan {
     /// Plan over an explicit path list (sorted internally; duplicate
     /// paths collapse to one — a file listed twice is one instance, and
     /// double-counting it would silently skew every aggregate).
-    pub fn new(mut paths: Vec<PathBuf>, shards: usize) -> Result<Self, ShardError> {
+    pub fn new(mut paths: Vec<PathBuf>, shards: usize) -> Result<Self, WorkError> {
         if shards == 0 {
-            return Err(ShardError::BadPlan("shard count must be ≥ 1".into()));
+            return Err(WorkError::BadPlan("shard count must be ≥ 1".into()));
         }
         paths.sort();
         paths.dedup();
@@ -144,14 +102,14 @@ impl ShardPlan {
     }
 
     /// Plan over every `*.json` / `*.spp` file directly inside `dir`.
-    pub fn from_dir(dir: &Path, shards: usize) -> Result<Self, ShardError> {
-        let entries = std::fs::read_dir(dir).map_err(|e| ShardError::Io {
+    pub fn from_dir(dir: &Path, shards: usize) -> Result<Self, WorkError> {
+        let entries = std::fs::read_dir(dir).map_err(|e| WorkError::Io {
             path: dir.display().to_string(),
             err: e.to_string(),
         })?;
         let mut paths = Vec::new();
         for entry in entries {
-            let entry = entry.map_err(|e| ShardError::Io {
+            let entry = entry.map_err(|e| WorkError::Io {
                 path: dir.display().to_string(),
                 err: e.to_string(),
             })?;
@@ -162,7 +120,7 @@ impl ShardPlan {
             }
         }
         if paths.is_empty() {
-            return Err(ShardError::BadPlan(format!(
+            return Err(WorkError::BadPlan(format!(
                 "no *.json or *.spp instance files in {}",
                 dir.display()
             )));
@@ -173,8 +131,8 @@ impl ShardPlan {
     /// Plan over a file list: one path per line, `#` comments and blank
     /// lines ignored, relative paths resolved against the list's parent
     /// directory.
-    pub fn from_file_list(list: &Path, shards: usize) -> Result<Self, ShardError> {
-        let text = std::fs::read_to_string(list).map_err(|e| ShardError::Io {
+    pub fn from_file_list(list: &Path, shards: usize) -> Result<Self, WorkError> {
+        let text = std::fs::read_to_string(list).map_err(|e| WorkError::Io {
             path: list.display().to_string(),
             err: e.to_string(),
         })?;
@@ -189,7 +147,7 @@ impl ShardPlan {
             paths.push(if p.is_absolute() { p } else { base.join(p) });
         }
         if paths.is_empty() {
-            return Err(ShardError::BadPlan(format!(
+            return Err(WorkError::BadPlan(format!(
                 "file list {} names no instances",
                 list.display()
             )));
@@ -218,9 +176,9 @@ impl ShardPlan {
     }
 
     /// Global index range owned by shard `shard`.
-    pub fn shard_range(&self, shard: usize) -> Result<std::ops::Range<usize>, ShardError> {
+    pub fn shard_range(&self, shard: usize) -> Result<std::ops::Range<usize>, WorkError> {
         if shard >= self.shards {
-            return Err(ShardError::BadPlan(format!(
+            return Err(WorkError::BadPlan(format!(
                 "shard index {shard} out of range (shards = {})",
                 self.shards
             )));
@@ -230,7 +188,7 @@ impl ShardPlan {
     }
 
     /// The paths of one shard, with their global indices.
-    pub fn shard_paths(&self, shard: usize) -> Result<&[PathBuf], ShardError> {
+    pub fn shard_paths(&self, shard: usize) -> Result<&[PathBuf], WorkError> {
         Ok(&self.paths[self.shard_range(shard)?])
     }
 
@@ -308,8 +266,7 @@ impl CellRow {
     }
 }
 
-/// One shard's worth of cells, plus the identity needed to merge and
-/// resume safely.
+/// One shard's worth of cells, plus the identity needed to merge safely.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
     /// This shard's index in `0..shards`.
@@ -318,9 +275,9 @@ pub struct ShardReport {
     pub shards: usize,
     /// Solver names, in execution order (must agree across shards).
     pub solvers: Vec<String>,
-    /// The instance-file paths this shard ran, in job order. Resume uses
-    /// this to detect a stale manifest after files were added, removed or
-    /// renamed (which shifts the plan's contiguous split).
+    /// The instance-file paths this shard ran, in job order. A merge
+    /// rebuilds the whole plan from the shards' inputs, so the cells of
+    /// every shard can be checked against the files they claim to cover.
     pub inputs: Vec<String>,
     /// Fingerprint of the *whole plan's* path list (see
     /// [`ShardPlan::fingerprint`]). Merging requires every report to come
@@ -333,14 +290,9 @@ pub struct ShardReport {
     pub config_sig: String,
     /// Cells in (job-major, solver input order), jobs globally indexed.
     pub cells: Vec<CellRow>,
-    /// Execution-side facts about how this shard was produced.
-    /// Informational only and never serialized: parsed reports carry
-    /// `None`, and two reports with different runtimes but equal cells
-    /// merge to byte-identical output.
-    pub runtime: Option<ShardRuntime>,
 }
 
-/// How a shard's cells were actually obtained (fresh solve vs. cache).
+/// How a lease's cells were actually obtained (fresh solve vs. cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRuntime {
     /// Summed per-cell solver phase time (CPU cost, not wall clock).
@@ -356,167 +308,61 @@ impl ShardRuntime {
     }
 }
 
-/// Canonical single-line JSON object for one cell — the shared row
-/// schema of shard reports, merged reports, and `spp-work-complete`
-/// documents (one serialization, so the formats cannot drift apart).
-pub fn cell_to_json(c: &CellRow) -> String {
-    format!(
-        "{{\"job\": {}, \"label\": \"{}\", \"solver\": \"{}\", \"status\": \"{}\", \"makespan\": {:.17e}, \"lb\": {:.17e}}}",
-        c.job,
-        json::escape(&c.label),
-        json::escape(&c.solver),
-        c.status.as_str(),
-        c.makespan,
-        c.combined_lb
-    )
-}
-
-/// Inverse of [`cell_to_json`] for one parsed JSON value; `ctx` names
-/// the value in error messages (e.g. `cells[3]`).
-pub fn cell_parse(cv: &JsonValue, ctx: &str) -> Result<CellRow, String> {
-    let schema = |e: spp_core::json::FileFormatError| e.to_string();
-    let path = |name: &str| format!("{ctx}.{name}");
-    let cobj = json::as_obj(cv, ctx).map_err(schema)?;
-    let cfield = |name: &str| json::get_field(cobj, cv, name).map_err(schema);
-    let status_str = json::as_str(cfield("status")?, &path("status")).map_err(schema)?;
-    let status = CellStatus::parse(status_str)
-        .ok_or_else(|| format!("{ctx}: unknown status {status_str:?}"))?;
-    Ok(CellRow {
-        job: json::as_u64(cfield("job")?, &path("job")).map_err(schema)? as usize,
-        label: json::as_str(cfield("label")?, &path("label"))
-            .map_err(schema)?
-            .to_string(),
-        solver: json::as_str(cfield("solver")?, &path("solver"))
-            .map_err(schema)?
-            .to_string(),
-        status,
-        makespan: json::as_num(cfield("makespan")?, &path("makespan")).map_err(schema)?,
-        combined_lb: json::as_num(cfield("lb")?, &path("lb")).map_err(schema)?,
-    })
-}
-
 const REPORT_FORMAT: &str = "spp-shard-report";
 const MERGED_FORMAT: &str = "spp-merged-report";
-const REPORT_VERSION: u64 = 1;
 
 impl ShardReport {
     /// Serialize as a canonical `spp-shard-report` JSON document.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"format\": \"{REPORT_FORMAT}\",");
-        let _ = writeln!(out, "  \"version\": {REPORT_VERSION},");
+        let mut out = codec::begin(REPORT_FORMAT, Family::Report);
         let _ = writeln!(out, "  \"shard\": {},", self.shard);
         let _ = writeln!(out, "  \"shards\": {},", self.shards);
-        let solvers: Vec<String> = self
-            .solvers
-            .iter()
-            .map(|s| format!("\"{}\"", json::escape(s)))
-            .collect();
-        let _ = writeln!(out, "  \"solvers\": [{}],", solvers.join(", "));
-        let inputs: Vec<String> = self
-            .inputs
-            .iter()
-            .map(|p| format!("\"{}\"", json::escape(p)))
-            .collect();
-        let _ = writeln!(out, "  \"inputs\": [{}],", inputs.join(", "));
+        codec::write_strings(&mut out, "solvers", &self.solvers);
+        codec::write_strings(&mut out, "inputs", &self.inputs);
         let _ = writeln!(out, "  \"plan\": \"{}\",", json::escape(&self.plan_fp));
         let _ = writeln!(out, "  \"config\": \"{}\",", json::escape(&self.config_sig));
-        out.push_str("  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 < self.cells.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}{sep}", cell_to_json(c));
-        }
-        out.push_str(if self.cells.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        codec::end_with_cells(out, &self.cells)
     }
 
-    /// Parse a document produced by [`Self::to_json`]. Schema mapping
-    /// reuses the typed accessors of `spp_core::json` (one implementation,
-    /// one error style, shared with the instance-file format); unknown
-    /// fields are tolerated here for forward compatibility — a report is
-    /// machine output, unlike hand-written instance files.
-    pub fn parse(text: &str) -> Result<Self, ShardError> {
-        let bad = |err: String| ShardError::BadReport {
-            context: "shard report".into(),
-            err,
-        };
-        let schema = |e: spp_core::json::FileFormatError| bad(e.to_string());
-        let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-        let obj = json::as_obj(&doc, "$").map_err(schema)?;
-        let field = |name: &str| json::get_field(obj, &doc, name).map_err(schema);
-        let int =
-            |v: &JsonValue, name: &str| json::as_u64(v, name).map(|x| x as usize).map_err(schema);
-        let strings = |v: &JsonValue, name: &str| -> Result<Vec<String>, ShardError> {
-            json::as_arr(v, name)
-                .map_err(schema)?
-                .iter()
-                .enumerate()
-                .map(|(i, sv)| {
-                    json::as_str(sv, &format!("{name}[{i}]"))
-                        .map(str::to_string)
-                        .map_err(schema)
-                })
-                .collect()
-        };
-
-        let format = json::as_str(field("format")?, "format").map_err(schema)?;
-        if format != REPORT_FORMAT {
-            return Err(bad(format!("format tag is not {REPORT_FORMAT:?}")));
-        }
-        if int(field("version")?, "version")? != REPORT_VERSION as usize {
-            return Err(bad("unsupported report version".into()));
-        }
-        let shard = int(field("shard")?, "shard")?;
-        let shards = int(field("shards")?, "shards")?;
-        let solvers = strings(field("solvers")?, "solvers")?;
-        let inputs = strings(field("inputs")?, "inputs")?;
-        let plan_fp = json::as_str(field("plan")?, "plan")
-            .map_err(schema)?
-            .to_string();
-        let config_sig = json::as_str(field("config")?, "config")
-            .map_err(schema)?
-            .to_string();
-
-        let cells_raw = json::as_arr(field("cells")?, "cells").map_err(schema)?;
-        let mut cells = Vec::with_capacity(cells_raw.len());
-        for (i, cv) in cells_raw.iter().enumerate() {
-            cells.push(cell_parse(cv, &format!("cells[{i}]")).map_err(&bad)?);
-        }
+    /// Parse a document produced by [`Self::to_json`].
+    pub fn parse(text: &str) -> Result<Self, WorkError> {
+        let doc = Doc::open(text, "shard report", REPORT_FORMAT, Family::Report)?;
         Ok(ShardReport {
-            shard,
-            shards,
-            solvers,
-            inputs,
-            plan_fp,
-            config_sig,
-            cells,
-            runtime: None,
+            shard: doc.u64("shard")? as usize,
+            shards: doc.u64("shards")? as usize,
+            solvers: doc.strings("solvers")?,
+            inputs: doc.strings("inputs")?,
+            plan_fp: doc.str("plan")?.to_string(),
+            config_sig: doc.str("config")?.to_string(),
+            cells: doc.cells()?,
         })
     }
 }
 
-/// Deterministic per-solver aggregates over merged cells. The semantics
-/// match [`SolverStats`](crate::SolverStats), minus the wall-clock field
-/// (which would break cross-process byte-identity).
+/// Deterministic per-solver aggregates over a batch's cells. Wall-clock
+/// time is deliberately absent: it would break cross-process
+/// byte-identity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverSummary {
     pub solver: String,
+    /// Cells that produced a report with passing (or skipped) validation.
     pub solved: usize,
+    /// Cells refused with an engine error (capability or model mismatch).
     pub unsupported: usize,
+    /// Cells whose placement failed validation (solver bugs).
     pub invalid: usize,
+    /// Mean makespan / combined-lower-bound over solved cells.
     pub mean_ratio: f64,
+    /// Worst ratio over solved cells.
     pub max_ratio: f64,
+    /// Sum of makespans over solved cells (comparable across solvers only
+    /// when they solved the same cells).
     pub total_makespan: f64,
 }
 
-/// Shard reports merged back into one globally ordered cell list.
+/// A whole batch's cells in global order — the one form every batch
+/// result takes, however its cells were run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedReport {
     pub solvers: Vec<String>,
@@ -524,7 +370,6 @@ pub struct MergedReport {
     /// single-process run over the same plan produces.
     pub cells: Vec<CellRow>,
 }
-
 impl MergedReport {
     /// Per-solver aggregates, in solver input order.
     pub fn summary(&self) -> Vec<SolverSummary> {
@@ -572,9 +417,9 @@ impl MergedReport {
             .count()
     }
 
-    /// The canonical human-readable summary table. Both the single-process
-    /// and the shard-merge CLI paths print exactly this string, which is
-    /// what makes the two byte-comparable.
+    /// The canonical human-readable summary table. Every `spp batch` mode
+    /// prints exactly this string, which is what makes them
+    /// byte-comparable.
     pub fn render_table(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -614,64 +459,18 @@ impl MergedReport {
     /// the dispatcher's `GET /work/report` hands to the thin
     /// `spp batch --dispatcher-url` client.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"format\": \"{MERGED_FORMAT}\",");
-        let _ = writeln!(out, "  \"version\": {REPORT_VERSION},");
-        let solvers: Vec<String> = self
-            .solvers
-            .iter()
-            .map(|s| format!("\"{}\"", json::escape(s)))
-            .collect();
-        let _ = writeln!(out, "  \"solvers\": [{}],", solvers.join(", "));
-        out.push_str("  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 < self.cells.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}{sep}", cell_to_json(c));
-        }
-        out.push_str(if self.cells.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        let mut out = codec::begin(MERGED_FORMAT, Family::Report);
+        codec::write_strings(&mut out, "solvers", &self.solvers);
+        codec::end_with_cells(out, &self.cells)
     }
 
     /// Parse a document produced by [`Self::to_json`].
-    pub fn parse(text: &str) -> Result<Self, ShardError> {
-        let bad = |err: String| ShardError::BadReport {
-            context: "merged report".into(),
-            err,
-        };
-        let schema = |e: spp_core::json::FileFormatError| bad(e.to_string());
-        let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-        let obj = json::as_obj(&doc, "$").map_err(schema)?;
-        let field = |name: &str| json::get_field(obj, &doc, name).map_err(schema);
-        let format = json::as_str(field("format")?, "format").map_err(schema)?;
-        if format != MERGED_FORMAT {
-            return Err(bad(format!("format tag is not {MERGED_FORMAT:?}")));
-        }
-        if json::as_u64(field("version")?, "version").map_err(schema)? != REPORT_VERSION {
-            return Err(bad("unsupported report version".into()));
-        }
-        let solvers = json::as_arr(field("solvers")?, "solvers")
-            .map_err(schema)?
-            .iter()
-            .enumerate()
-            .map(|(i, sv)| {
-                json::as_str(sv, &format!("solvers[{i}]"))
-                    .map(str::to_string)
-                    .map_err(schema)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let cells_raw = json::as_arr(field("cells")?, "cells").map_err(schema)?;
-        let mut cells = Vec::with_capacity(cells_raw.len());
-        for (i, cv) in cells_raw.iter().enumerate() {
-            cells.push(cell_parse(cv, &format!("cells[{i}]")).map_err(&bad)?);
-        }
-        Ok(MergedReport { solvers, cells })
+    pub fn parse(text: &str) -> Result<Self, WorkError> {
+        let doc = Doc::open(text, "merged report", MERGED_FORMAT, Family::Report)?;
+        Ok(MergedReport {
+            solvers: doc.strings("solvers")?,
+            cells: doc.cells()?,
+        })
     }
 
     /// One line per cell (full `{:.17e}` precision) for diff-based
@@ -695,11 +494,17 @@ impl MergedReport {
     }
 }
 
-/// Merge shard reports into global order. Every shard of the plan must be
-/// present exactly once, and all reports must agree on shard count and
-/// solver list.
-pub fn merge_reports(mut reports: Vec<ShardReport>) -> Result<MergedReport, ShardError> {
-    let bad = |err: String| ShardError::BadReport {
+/// Merge shard reports into global order.
+///
+/// Every shard of the plan must be present exactly once, and all reports
+/// must agree on shard count, solver list, config signature and plan
+/// fingerprint. The plan is then rebuilt from the reports' `inputs` and
+/// must hash to that fingerprint, and each shard's cells must pass the
+/// same chunk check [`WorkQueue::complete`] applies to a worker's
+/// completion — so a truncated or hand-edited report is rejected rather
+/// than folded into the aggregates.
+pub fn merge_reports(mut reports: Vec<ShardReport>) -> Result<MergedReport, WorkError> {
+    let bad = |err: String| WorkError::Protocol {
         context: "merge".into(),
         err,
     };
@@ -750,33 +555,23 @@ pub fn merge_reports(mut reports: Vec<ShardReport>) -> Result<MergedReport, Shar
             )));
         }
     }
-    // Contiguous shards in index order concatenate into global job order;
-    // check the structure exactly (every input × every solver, jobs
-    // consecutive across shards) so a truncated or hand-edited report is
-    // rejected rather than folded into the aggregates.
+    let inputs = reports
+        .iter()
+        .flat_map(|r| r.inputs.iter().map(PathBuf::from))
+        .collect();
+    let plan = ShardPlan::new(inputs, shards)?;
+    if plan.fingerprint() != reports[0].plan_fp {
+        return Err(bad(format!(
+            "the shards' inputs hash to plan {}, but the reports claim plan {}",
+            plan.fingerprint(),
+            reports[0].plan_fp
+        )));
+    }
     let mut cells = Vec::with_capacity(reports.iter().map(|r| r.cells.len()).sum());
-    let mut base_job = 0usize;
     for r in reports {
-        if r.cells.len() != r.inputs.len() * solvers.len() {
-            return Err(bad(format!(
-                "shard {} has {} cells, expected {} inputs × {} solvers",
-                r.shard,
-                r.cells.len(),
-                r.inputs.len(),
-                solvers.len()
-            )));
-        }
-        for (idx, c) in r.cells.iter().enumerate() {
-            let want_job = base_job + idx / solvers.len();
-            let want_solver = &solvers[idx % solvers.len()];
-            if c.job != want_job || &c.solver != want_solver {
-                return Err(bad(format!(
-                    "shard {} cell {idx} is (job {}, {}), expected (job {want_job}, {want_solver})",
-                    r.shard, c.job, c.solver
-                )));
-            }
-        }
-        base_job += r.inputs.len();
+        let start = plan.shard_range(r.shard)?.start;
+        check_chunk(plan.shard_paths(r.shard)?, start, &solvers, &r.cells)
+            .map_err(|e| bad(format!("shard {}: {e}", r.shard)))?;
         cells.extend(r.cells);
     }
     Ok(MergedReport { solvers, cells })
@@ -792,56 +587,37 @@ pub(crate) fn label_for(path: &Path) -> String {
         .unwrap_or_else(|| path.display().to_string())
 }
 
-/// Wrap one completed chunk of a shard-shaped queue as the portable
-/// [`ShardReport`] the CLI emits and `merge_reports` consumes.
-fn shard_report_for(
-    plan: &ShardPlan,
-    lease: &WorkLease,
-    cells: Vec<CellRow>,
-    runtime: Option<ShardRuntime>,
-) -> ShardReport {
-    ShardReport {
-        shard: lease.index,
-        shards: plan.shards(),
-        solvers: lease.solvers.clone(),
-        inputs: lease
-            .paths
-            .iter()
-            .map(|p| p.display().to_string())
-            .collect(),
-        plan_fp: plan.fingerprint(),
-        config_sig: lease.config.signature(),
-        cells,
-        runtime,
-    }
-}
-
 /// Run one shard: execute its chunk of the plan through the engine's
 /// single cache-consulting pipeline
 /// ([`execute_cells`](crate::batch::execute_cells), via
-/// [`execute_lease`]), reducing to portable rows.
-///
-/// With a cache attached, already-solved cells are served from it and
-/// the shard's [`ShardRuntime`] records how many — a fully cached shard
-/// is a resume that invoked no solver at all.
+/// [`execute_lease`]), reducing to the portable report a later
+/// [`merge_reports`] consumes.
 pub fn run_shard(
     plan: &ShardPlan,
     shard: usize,
     solvers: &[Box<dyn Solver>],
     config: &SolveConfig,
     cache: Option<&dyn SolveCache>,
-) -> Result<ShardReport, ShardError> {
-    let range = plan.shard_range(shard)?;
+) -> Result<ShardReport, WorkError> {
+    let paths = plan.shard_paths(shard)?;
     let lease = WorkLease {
         id: 0,
         index: shard,
-        start: range.start,
-        paths: plan.shard_paths(shard)?.to_vec(),
+        start: plan.shard_range(shard)?.start,
+        paths: paths.to_vec(),
         solvers: solvers.iter().map(|s| s.name().to_string()).collect(),
         config: config.clone(),
     };
-    let (cells, runtime) = execute_lease(&lease, solvers, cache)?;
-    Ok(shard_report_for(plan, &lease, cells, Some(runtime)))
+    let (cells, _) = execute_lease(&lease, solvers, cache)?;
+    Ok(ShardReport {
+        shard,
+        shards: plan.shards(),
+        inputs: paths.iter().map(|p| p.display().to_string()).collect(),
+        plan_fp: plan.fingerprint(),
+        config_sig: config.signature(),
+        solvers: lease.solvers,
+        cells,
+    })
 }
 
 /// Run every shard of the plan concurrently and merge.
@@ -850,54 +626,40 @@ pub fn run_shard(
 /// [`LocalPlan`] work source, drained by a small pool of in-process
 /// [`pull_work`] workers — the same pull loop the distributed `spp work`
 /// pullers run, so local and dispatched execution cannot drift apart.
-/// Output is byte-identical to the pre-pull eager split (chunks
-/// concatenate in shard order).
+/// Chunks concatenate in shard order, so the output does not depend on
+/// the shard count.
 ///
 /// * `cache` — consulted cell-by-cell before any solve and written back
 ///   on miss; pass a [`DiskCache`](crate::cache::DiskCache) to make the
 ///   run resumable (and to share work with other processes pointing at
 ///   the same directory). There is no separate resume path: a rerun over
 ///   a warm cache recomputes nothing and produces byte-identical output.
-/// * `observer` — called with each shard's report as it completes, from
-///   worker threads, in completion order: the streaming progress hook.
+/// * `observer` — called with each shard's lease (`index` is the shard),
+///   cells and [`ShardRuntime`] as it completes, from worker threads, in
+///   completion order: the streaming progress hook.
 pub fn run_sharded(
     plan: &ShardPlan,
     solvers: &[Box<dyn Solver>],
     config: &SolveConfig,
     cache: Option<&dyn SolveCache>,
-    observer: Option<&(dyn Fn(&ShardReport) + Sync)>,
-) -> Result<MergedReport, ShardError> {
+    observer: Option<&LeaseObserver<'_>>,
+) -> Result<MergedReport, WorkError> {
     let names: Vec<String> = solvers.iter().map(|s| s.name().to_string()).collect();
     let source = LocalPlan::new(plan.work_queue(names, config.clone(), None));
     // Cap the puller pool: each lease saturates cores via the executor's
     // own par_map, so a handful of in-flight chunks is enough to hide
     // file-I/O latency without multiplying worker pools.
     let pullers = plan.shards().clamp(1, 4);
-    let first_error: Mutex<Option<ShardError>> = Mutex::new(None);
+    let first_error: Mutex<Option<WorkError>> = Mutex::new(None);
     let execute = |lease: &WorkLease| execute_lease(lease, solvers, cache);
-    let on_complete = |lease: &WorkLease, cells: &[CellRow], runtime: &ShardRuntime| {
-        if let Some(obs) = observer {
-            obs(&shard_report_for(
-                plan,
-                lease,
-                cells.to_vec(),
-                Some(*runtime),
-            ));
-        }
-    };
     spp_par::run_workers(pullers, |_| {
-        if let Err(e) = pull_work(
-            &source,
-            &execute,
-            Some(&on_complete),
-            Duration::from_millis(5),
-        ) {
+        if let Err(e) = pull_work(&source, &execute, observer, Duration::from_millis(5)) {
             // Keep the first *real* error; `Aborted` is only the echo a
             // sibling hears after someone else failed.
             if e != WorkError::Aborted {
                 let mut slot = first_error.lock().expect("error slot poisoned");
                 if slot.is_none() {
-                    *slot = Some(e.into());
+                    *slot = Some(e);
                 }
             }
         }
@@ -905,10 +667,9 @@ pub fn run_sharded(
     if let Some(e) = first_error.into_inner().expect("error slot poisoned") {
         return Err(e);
     }
-    source.into_merged().ok_or(ShardError::BadReport {
-        context: "work".into(),
-        err: "queue did not drain".into(),
-    })
+    source
+        .into_merged()
+        .ok_or_else(|| WorkError::protocol("work", "queue did not drain"))
 }
 
 #[cfg(test)]
@@ -990,46 +751,83 @@ mod tests {
         assert_eq!(back.shard, report.shard);
         assert_eq!(back.solvers, report.solvers);
         assert_eq!(back.cells, report.cells);
-        // Runtime facts are not part of the portable contract.
-        assert!(report.runtime.is_some());
-        assert!(back.runtime.is_none());
         // Canonical: serialize ∘ parse ∘ serialize = serialize.
         assert_eq!(back.to_json(), report.to_json());
     }
 
     #[test]
     fn merge_rejects_inconsistent_reports() {
-        let mk = |shard, shards, solvers: &[&str]| ShardReport {
-            shard,
-            shards,
-            solvers: solvers.iter().map(|s| s.to_string()).collect(),
-            inputs: vec![],
-            plan_fp: "fnv1a:test".into(),
-            config_sig: SolveConfig::default().signature(),
-            cells: vec![],
-            runtime: None,
+        // A two-shard plan over one file: shard 0 is empty, shard 1 holds
+        // `a.json`. Each case below breaks one field of a consistent pair.
+        let plan_fp = ShardPlan::new(vec![PathBuf::from("a.json")], 2)
+            .unwrap()
+            .fingerprint();
+        let mk = |shard: usize, solvers: &[&str]| {
+            let inputs: &[&str] = if shard == 1 { &["a.json"] } else { &[] };
+            ShardReport {
+                shard,
+                shards: 2,
+                solvers: solvers.iter().map(|s| s.to_string()).collect(),
+                inputs: inputs.iter().map(|p| p.to_string()).collect(),
+                plan_fp: plan_fp.clone(),
+                config_sig: SolveConfig::default().signature(),
+                cells: inputs
+                    .iter()
+                    .flat_map(|_| solvers)
+                    .map(|s| CellRow {
+                        job: 0,
+                        label: "a".into(),
+                        solver: s.to_string(),
+                        status: CellStatus::Solved,
+                        makespan: 1.0,
+                        combined_lb: 1.0,
+                    })
+                    .collect(),
+            }
+        };
+        // Merges shard 0 with `second`, which must be refused; returns
+        // the error message.
+        let refused = |second: ShardReport| {
+            merge_reports(vec![mk(0, &["nfdh"]), second])
+                .unwrap_err()
+                .to_string()
         };
         // Missing shard.
-        assert!(merge_reports(vec![mk(0, 2, &["nfdh"])]).is_err());
+        assert!(merge_reports(vec![mk(0, &["nfdh"])]).is_err());
         // Duplicate shard.
-        assert!(merge_reports(vec![mk(0, 2, &["nfdh"]), mk(0, 2, &["nfdh"])]).is_err());
+        refused(mk(0, &["nfdh"]));
         // Solver mismatch.
-        assert!(merge_reports(vec![mk(0, 2, &["nfdh"]), mk(1, 2, &["ffdh"])]).is_err());
+        refused(mk(1, &["ffdh"]));
         // Config mismatch.
-        let mut other_cfg = mk(1, 2, &["nfdh"]);
+        let mut other_cfg = mk(1, &["nfdh"]);
         other_cfg.config_sig = "epsilon=0.5".into();
-        assert!(merge_reports(vec![mk(0, 2, &["nfdh"]), other_cfg]).is_err());
+        refused(other_cfg);
         // Plan mismatch: shards cut from different batches refuse to merge
         // even though shard count, solvers and config all agree.
-        let mut other_plan = mk(1, 2, &["nfdh"]);
+        let mut other_plan = mk(1, &["nfdh"]);
         other_plan.plan_fp = "fnv1a:other".into();
-        assert!(merge_reports(vec![mk(0, 2, &["nfdh"]), other_plan]).is_err());
-        // Structural mismatch: cell count must be inputs × solvers.
-        let mut truncated = mk(1, 2, &["nfdh"]);
-        truncated.inputs = vec!["a.json".into()];
-        assert!(merge_reports(vec![mk(0, 2, &["nfdh"]), truncated]).is_err());
-        // Consistent pair merges.
-        assert!(merge_reports(vec![mk(1, 2, &["nfdh"]), mk(0, 2, &["nfdh"])]).is_ok());
+        refused(other_plan);
+        // Inputs that no longer hash to the plan the reports claim.
+        let mut renamed = mk(1, &["nfdh"]);
+        renamed.inputs = vec!["b.json".into()];
+        assert!(refused(renamed).contains("inputs hash to plan"));
+        // Structural mismatch: cells must be inputs × solvers, labelled
+        // with the inputs' stems — the check a dispatched completion gets.
+        let mut truncated = mk(1, &["nfdh"]);
+        truncated.cells.clear();
+        let err = refused(truncated);
+        assert!(
+            err.contains("shard 1: 0 cells, expected 1 jobs x 1 solvers"),
+            "{err}"
+        );
+        let mut tampered = mk(1, &["nfdh"]);
+        tampered.cells[0].label = "tampered".into();
+        let err = refused(tampered);
+        assert!(err.starts_with("merge: shard 1: cell 0"), "{err}");
+        assert!(err.contains("\"tampered\""), "{err}");
+        // Consistent pair merges, in either order.
+        let merged = merge_reports(vec![mk(1, &["nfdh"]), mk(0, &["nfdh"])]).unwrap();
+        assert_eq!(merged.cells, mk(1, &["nfdh"]).cells);
     }
 
     #[test]
@@ -1053,10 +851,9 @@ mod tests {
         // output is byte-identical.
         let warm = DiskCache::new(&cache_dir, false).unwrap();
         let resumed = std::sync::Mutex::new(Vec::new());
-        let observer = |r: &ShardReport| {
-            let rt = r.runtime.expect("fresh shards carry runtime facts");
-            if rt.fully_cached(r.cells.len()) {
-                resumed.lock().unwrap().push(r.shard);
+        let observer = |lease: &WorkLease, cells: &[CellRow], rt: &ShardRuntime| {
+            if rt.fully_cached(cells.len()) {
+                resumed.lock().unwrap().push(lease.index);
             }
         };
         let second = run_sharded(&plan, &solvers2, &config, Some(&warm), Some(&observer)).unwrap();
@@ -1133,7 +930,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let err = ShardPlan::from_dir(&dir, 2).unwrap_err();
-        assert!(matches!(err, ShardError::BadPlan(_)), "{err:?}");
+        assert!(matches!(err, WorkError::BadPlan(_)), "{err:?}");
         assert!(
             err.to_string().contains("spp_engine_shard_emptydir"),
             "{err}"
@@ -1274,7 +1071,7 @@ mod tests {
         let err =
             run_shard(&plan, 0, &solvers(&["nfdh"]), &SolveConfig::default(), None).unwrap_err();
         match err {
-            ShardError::Load { path, err } => {
+            WorkError::Load { path, err } => {
                 assert!(path.contains("bad.json"), "{path}");
                 assert!(err.contains("format"), "{err}");
             }

@@ -16,14 +16,16 @@
 //! * [`WorkQueue`] is the one lease manager: fixed chunks handed out on
 //!   demand, **expired leases requeued** (a killed worker loses
 //!   nothing), completion **idempotent** (a chunk completes once; late
-//!   or duplicate completions are acknowledged, never double-counted),
-//!   structural validation on every completion (a broken worker cannot
-//!   corrupt the merged report);
+//!   or duplicate completions are acknowledged, never double-counted);
+//! * one structural check of a chunk's cells (`check_chunk`) runs on
+//!   every queue completion, so a broken worker cannot corrupt the merged
+//!   report, and in [`merge_reports`](crate::sharding::merge_reports) on
+//!   every static shard report;
 //! * [`LocalPlan`] wraps a `WorkQueue` behind the trait for in-process
-//!   execution (today's `run_sharded` behavior, byte-identical output);
-//!   the `spp-serve` dispatcher wraps the *same* queue behind
-//!   `POST /work/lease` / `POST /work/complete` / `GET /work/status`,
-//!   and its `RemoteLease` client implements the same trait over HTTP.
+//!   execution (`run_sharded`); the `spp-serve` dispatcher holds the
+//!   *same* queue behind `POST /work/lease` / `POST /work/complete` /
+//!   `GET /work/status`, and its `RemoteLease` client implements the
+//!   same trait over HTTP.
 //!
 //! Pull-based leasing is the classic fix for shard imbalance: per-cell
 //! cost here spans microsecond shelf heuristics to the APTAS LP, so any
@@ -44,25 +46,29 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use spp_core::json::{self, JsonValue};
-
-use crate::batch::{execute_cells, BatchJob};
+use crate::batch::{execute_cells, BatchJob, CellOutcome};
 use crate::cache::{CacheError, SolveCache};
+use crate::codec::{self, Doc, Family};
 use crate::request::{SolveConfig, SolveRequest};
 use crate::sharding::{label_for, CellRow, MergedReport, ShardRuntime};
 use crate::solver::Solver;
 
-/// Failures of the work-distribution layer. Per-cell solver refusals are
-/// *not* errors (they are `Unsupported` rows); these abort a worker or
-/// reject a completion.
+/// Failures of batch execution, from planning through the work seam to
+/// merging. Per-cell solver refusals are *not* errors (they are
+/// `Unsupported` rows); these abort a worker, reject a completion, or
+/// refuse a plan or merge.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkError {
     /// Filesystem failure.
     Io { path: String, err: String },
     /// An instance file failed to parse (message names field and line).
     Load { path: String, err: String },
-    /// The two sides of the seam disagree: unknown lease, mismatched
-    /// cells, malformed wire document, unreachable dispatcher.
+    /// The plan parameters are unusable (zero shards, bad index, no
+    /// input files).
+    BadPlan(String),
+    /// Two sides disagree: unknown lease, mismatched cells, malformed
+    /// report or wire document, inconsistent shard reports, unreachable
+    /// dispatcher.
     Protocol { context: String, err: String },
     /// The source was aborted (another local worker hit a real error).
     Aborted,
@@ -82,6 +88,7 @@ impl std::fmt::Display for WorkError {
         match self {
             WorkError::Io { path, err } => write!(f, "{path}: {err}"),
             WorkError::Load { path, err } => write!(f, "{path}: {err}"),
+            WorkError::BadPlan(msg) => write!(f, "bad shard plan: {msg}"),
             WorkError::Protocol { context, err } => write!(f, "{context}: {err}"),
             WorkError::Aborted => write!(f, "work source aborted"),
         }
@@ -236,6 +243,42 @@ pub fn chunk_ranges(n: usize, chunk: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// The one structural check of a chunk's cells: exactly `paths` ×
+/// `solvers`, in (job-major, solver input) order, numbered from the
+/// chunk's first global job `start`, each labelled with its file's stem.
+/// [`WorkQueue::complete`] runs it on every completion and
+/// [`merge_reports`](crate::sharding::merge_reports) on every shard
+/// report, so a truncated, reordered or hand-edited chunk is rejected
+/// rather than folded into the aggregates.
+pub(crate) fn check_chunk(
+    paths: &[PathBuf],
+    start: usize,
+    solvers: &[String],
+    cells: &[CellRow],
+) -> Result<(), String> {
+    if cells.len() != paths.len() * solvers.len() {
+        return Err(format!(
+            "{} cells, expected {} jobs x {} solvers",
+            cells.len(),
+            paths.len(),
+            solvers.len()
+        ));
+    }
+    for (idx, c) in cells.iter().enumerate() {
+        let job = idx / solvers.len();
+        let want_job = start + job;
+        let want_solver = &solvers[idx % solvers.len()];
+        let want_label = label_for(&paths[job]);
+        if c.job != want_job || &c.solver != want_solver || c.label != want_label {
+            return Err(format!(
+                "cell {idx} is (job {}, {}, {:?}), expected (job {want_job}, {want_solver}, {want_label:?})",
+                c.job, c.solver, c.label
+            ));
+        }
+    }
+    Ok(())
+}
+
 impl WorkQueue {
     /// A queue over `paths` (global job order), partitioned into the
     /// given chunks (which must cover `0..paths.len()` contiguously —
@@ -326,10 +369,9 @@ impl WorkQueue {
         })
     }
 
-    /// Accept a completed lease. Validates that the cells are exactly
-    /// the chunk's jobs × the solver list, in (job-major, solver input)
-    /// order with the labels the paths imply, so a confused worker is
-    /// rejected — its chunk stays open and requeues at the deadline.
+    /// Accept a completed lease. The cells must pass `check_chunk`
+    /// against the chunk's files, so a confused worker is rejected — its
+    /// chunk stays open and requeues at the deadline.
     pub fn complete(
         &mut self,
         lease_id: u64,
@@ -363,25 +405,8 @@ impl WorkQueue {
             self.duplicates += 1;
             return Ok(());
         }
-        if cells.len() != range.len() * self.solvers.len() {
-            return Err(bad(format!(
-                "{} cells, expected {} jobs x {} solvers",
-                cells.len(),
-                range.len(),
-                self.solvers.len()
-            )));
-        }
-        for (idx, c) in cells.iter().enumerate() {
-            let want_job = range.start + idx / self.solvers.len();
-            let want_solver = &self.solvers[idx % self.solvers.len()];
-            let want_label = label_for(&self.paths[want_job]);
-            if c.job != want_job || &c.solver != want_solver || c.label != want_label {
-                return Err(bad(format!(
-                    "cell {idx} is (job {}, {}, {:?}), expected (job {want_job}, {want_solver}, {want_label:?})",
-                    c.job, c.solver, c.label
-                )));
-            }
-        }
+        let paths = &self.paths[range.clone()];
+        check_chunk(paths, range.start, &self.solvers, cells).map_err(bad)?;
         self.cells[chunk] = Some(cells.to_vec());
         self.outstanding.remove(&lease_id);
         // Remember the id: if this completion's *response* is lost, the
@@ -531,6 +556,12 @@ pub fn execute_lease(
         ));
     }
     let outcomes = execute_cells(&jobs, solvers, cache)?;
+    Ok(cell_rows(outcomes, lease.start))
+}
+
+/// Reduce executed cells to portable rows, numbering jobs from the
+/// global index `start`, plus the runtime facts (CPU time, cache hits).
+pub fn cell_rows(outcomes: Vec<CellOutcome>, start: usize) -> (Vec<CellRow>, ShardRuntime) {
     let mut runtime = ShardRuntime {
         cpu_time: Duration::ZERO,
         cache_hits: 0,
@@ -543,7 +574,7 @@ pub fn execute_lease(
                 runtime.cache_hits += 1;
             }
             CellRow {
-                job: lease.start + c.job,
+                job: start + c.job,
                 label: c.label,
                 solver: c.solver,
                 status: c.status,
@@ -552,7 +583,7 @@ pub fn execute_lease(
             }
         })
         .collect();
-    Ok((cells, runtime))
+    (cells, runtime)
 }
 
 /// What one worker's pull loop did.
@@ -571,8 +602,9 @@ pub struct PullStats {
 pub type LeaseExecutor<'a> =
     dyn Fn(&WorkLease) -> Result<(Vec<CellRow>, ShardRuntime), WorkError> + Sync + 'a;
 
-/// Called by [`pull_work`] after each lease is completed — the streaming
-/// progress hook (e.g. `run_sharded`'s per-shard observer).
+/// Called by [`pull_work`] after each lease is completed, with the
+/// lease, its cells and how they were obtained — the streaming progress
+/// hook (e.g. `run_sharded`'s per-shard observer).
 pub type LeaseObserver<'a> = dyn Fn(&WorkLease, &[CellRow], &ShardRuntime) + Sync + 'a;
 
 /// The one worker loop: lease → execute → complete, until the source is
@@ -631,52 +663,12 @@ pub fn pull_work(
 const LEASE_FORMAT: &str = "spp-work-lease";
 const COMPLETE_FORMAT: &str = "spp-work-complete";
 const STATUS_FORMAT: &str = "spp-work-status";
-const WORK_WIRE_VERSION: u64 = 1;
-
-fn config_fields_to_json(out: &mut String, config: &SolveConfig) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "  \"epsilon\": {:.17e},", config.epsilon);
-    let _ = writeln!(out, "  \"k\": {},", config.k);
-    let _ = writeln!(out, "  \"shelf_r\": {:.17e},", config.shelf_r);
-    let _ = writeln!(out, "  \"strict\": {},", config.strict);
-    let _ = writeln!(out, "  \"validate\": {},", config.validate);
-    let _ = writeln!(out, "  \"budget_ms\": {},", config.budget_ms);
-    let _ = writeln!(out, "  \"improve_seed\": {},", config.improve_seed);
-    let _ = writeln!(out, "  \"improve_streams\": {},", config.improve_streams);
-    let _ = writeln!(out, "  \"improve_envelope\": {},", config.improve_envelope);
-}
-
-fn as_bool(v: &JsonValue, name: &str) -> Result<bool, String> {
-    match v.json {
-        json::Json::Bool(b) => Ok(b),
-        _ => Err(format!(
-            "{name}: expected bool, found {}",
-            v.json.type_name()
-        )),
-    }
-}
-
-/// Reject documents from a future wire version instead of silently
-/// misreading them as v1 (same discipline as the report parsers in
-/// `sharding`).
-fn check_wire_version(v: &JsonValue) -> Result<(), String> {
-    let version = json::as_u64(v, "version").map_err(|e| e.to_string())?;
-    if version != WORK_WIRE_VERSION {
-        return Err(format!(
-            "unsupported wire version {version} (this binary speaks {WORK_WIRE_VERSION})"
-        ));
-    }
-    Ok(())
-}
 
 /// Serialize a grant as an `spp-work-lease` document (the
 /// `POST /work/lease` response body).
 pub fn grant_to_json(grant: &LeaseGrant, deadline_secs: Option<u64>) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"format\": \"{LEASE_FORMAT}\",");
-    let _ = writeln!(out, "  \"version\": {WORK_WIRE_VERSION},");
+    let mut out = codec::begin(LEASE_FORMAT, Family::Wire);
     match grant {
         LeaseGrant::Wait => {
             let _ = writeln!(out, "  \"grant\": \"wait\"");
@@ -689,19 +681,22 @@ pub fn grant_to_json(grant: &LeaseGrant, deadline_secs: Option<u64>) -> String {
             let _ = writeln!(out, "  \"lease\": {},", lease.id);
             let _ = writeln!(out, "  \"index\": {},", lease.index);
             let _ = writeln!(out, "  \"start\": {},", lease.start);
-            let paths: Vec<String> = lease
-                .paths
-                .iter()
-                .map(|p| format!("\"{}\"", json::escape(&p.display().to_string())))
-                .collect();
-            let _ = writeln!(out, "  \"paths\": [{}],", paths.join(", "));
-            let solvers: Vec<String> = lease
-                .solvers
-                .iter()
-                .map(|s| format!("\"{}\"", json::escape(s)))
-                .collect();
-            let _ = writeln!(out, "  \"solvers\": [{}],", solvers.join(", "));
-            config_fields_to_json(&mut out, &lease.config);
+            codec::write_strings(
+                &mut out,
+                "paths",
+                lease.paths.iter().map(|p| p.display().to_string()),
+            );
+            codec::write_strings(&mut out, "solvers", &lease.solvers);
+            let config = &lease.config;
+            let _ = writeln!(out, "  \"epsilon\": {:.17e},", config.epsilon);
+            let _ = writeln!(out, "  \"k\": {},", config.k);
+            let _ = writeln!(out, "  \"shelf_r\": {:.17e},", config.shelf_r);
+            let _ = writeln!(out, "  \"strict\": {},", config.strict);
+            let _ = writeln!(out, "  \"validate\": {},", config.validate);
+            let _ = writeln!(out, "  \"budget_ms\": {},", config.budget_ms);
+            let _ = writeln!(out, "  \"improve_seed\": {},", config.improve_seed);
+            let _ = writeln!(out, "  \"improve_streams\": {},", config.improve_streams);
+            let _ = writeln!(out, "  \"improve_envelope\": {},", config.improve_envelope);
             let _ = writeln!(out, "  \"deadline_secs\": {}", deadline_secs.unwrap_or(0));
         }
     }
@@ -711,82 +706,45 @@ pub fn grant_to_json(grant: &LeaseGrant, deadline_secs: Option<u64>) -> String {
 
 /// Parse an `spp-work-lease` document.
 pub fn grant_parse(text: &str) -> Result<LeaseGrant, WorkError> {
-    let bad = |err: String| WorkError::protocol("work lease", err);
-    let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-    let obj = json::as_obj(&doc, "$").map_err(|e| bad(e.to_string()))?;
-    let field = |name: &str| json::get_field(obj, &doc, name).map_err(|e| bad(e.to_string()));
-    let str_of = |v: &JsonValue, name: &str| -> Result<String, WorkError> {
-        json::as_str(v, name)
-            .map(str::to_string)
-            .map_err(|e| bad(e.to_string()))
-    };
-    if str_of(field("format")?, "format")? != LEASE_FORMAT {
-        return Err(bad(format!("format tag is not {LEASE_FORMAT:?}")));
-    }
-    check_wire_version(field("version")?).map_err(&bad)?;
-    match str_of(field("grant")?, "grant")?.as_str() {
+    let doc = Doc::open(text, "work lease", LEASE_FORMAT, Family::Wire)?;
+    match doc.str("grant")? {
         "wait" => Ok(LeaseGrant::Wait),
         "done" => Ok(LeaseGrant::Done),
         "work" => {
-            let int = |name: &str| -> Result<u64, WorkError> {
-                json::as_u64(field(name)?, name).map_err(|e| bad(e.to_string()))
-            };
-            let num = |name: &str| -> Result<f64, WorkError> {
-                json::as_num(field(name)?, name).map_err(|e| bad(e.to_string()))
-            };
-            let strings = |name: &str| -> Result<Vec<String>, WorkError> {
-                json::as_arr(field(name)?, name)
-                    .map_err(|e| bad(e.to_string()))?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, sv)| str_of(sv, &format!("{name}[{i}]")))
-                    .collect()
-            };
-            // Absent on pre-anytime leases: default to one-shot solving.
-            let opt_int = |name: &str| -> Result<u64, WorkError> {
-                match json::get_field(obj, &doc, name) {
-                    Ok(v) => json::as_u64(v, name).map_err(|e| bad(e.to_string())),
-                    Err(_) => Ok(0),
-                }
-            };
-            // Absent on pre-portfolio leases: default to one stream, no
-            // shared envelope (the pre-portfolio behavior).
-            let opt_int_default = |name: &str, default: u64| -> Result<u64, WorkError> {
-                match json::get_field(obj, &doc, name) {
-                    Ok(v) => json::as_u64(v, name).map_err(|e| bad(e.to_string())),
-                    Err(_) => Ok(default),
-                }
-            };
-            let opt_bool = |name: &str| -> Result<bool, WorkError> {
-                match json::get_field(obj, &doc, name) {
-                    Ok(v) => as_bool(v, name).map_err(&bad),
-                    Err(_) => Ok(false),
-                }
-            };
             let config = SolveConfig {
-                epsilon: num("epsilon")?,
-                k: int("k")? as usize,
-                shelf_r: num("shelf_r")?,
-                strict: as_bool(field("strict")?, "strict").map_err(&bad)?,
-                validate: as_bool(field("validate")?, "validate").map_err(&bad)?,
-                budget_ms: opt_int("budget_ms")?,
-                improve_seed: opt_int("improve_seed")?,
-                improve_streams: opt_int_default("improve_streams", 1)?,
-                improve_envelope: opt_bool("improve_envelope")?,
+                epsilon: doc.num("epsilon")?,
+                k: doc.u64("k")? as usize,
+                shelf_r: doc.num("shelf_r")?,
+                strict: doc.bool("strict")?,
+                validate: doc.bool("validate")?,
+                // Absent on pre-anytime leases: one-shot solving.
+                budget_ms: doc.u64_or("budget_ms", 0)?,
+                improve_seed: doc.u64_or("improve_seed", 0)?,
+                // Absent on pre-portfolio leases: one stream, no shared
+                // envelope (the pre-portfolio behavior).
+                improve_streams: doc.u64_or("improve_streams", 1)?,
+                improve_envelope: doc.bool_or("improve_envelope", false)?,
                 // Execution detail, never serialized: each worker picks
                 // its own parallelism.
                 improve_workers: 0,
             };
             Ok(LeaseGrant::Work(WorkLease {
-                id: int("lease")?,
-                index: int("index")? as usize,
-                start: int("start")? as usize,
-                paths: strings("paths")?.into_iter().map(PathBuf::from).collect(),
-                solvers: strings("solvers")?,
+                id: doc.u64("lease")?,
+                index: doc.u64("index")? as usize,
+                start: doc.u64("start")? as usize,
+                paths: doc
+                    .strings("paths")?
+                    .into_iter()
+                    .map(PathBuf::from)
+                    .collect(),
+                solvers: doc.strings("solvers")?,
                 config,
             }))
         }
-        other => Err(bad(format!("unknown grant kind {other:?}"))),
+        other => Err(WorkError::protocol(
+            "work lease",
+            format!("unknown grant kind {other:?}"),
+        )),
     }
 }
 
@@ -794,55 +752,24 @@ pub fn grant_parse(text: &str) -> Result<LeaseGrant, WorkError> {
 /// `POST /work/complete` request body).
 pub fn complete_to_json(lease_id: u64, start: usize, cells: &[CellRow]) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"format\": \"{COMPLETE_FORMAT}\",");
-    let _ = writeln!(out, "  \"version\": {WORK_WIRE_VERSION},");
+    let mut out = codec::begin(COMPLETE_FORMAT, Family::Wire);
     let _ = writeln!(out, "  \"lease\": {lease_id},");
     let _ = writeln!(out, "  \"start\": {start},");
-    out.push_str("  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 < cells.len() { "," } else { "" };
-        let _ = write!(out, "\n    {}{sep}", crate::sharding::cell_to_json(c));
-    }
-    out.push_str(if cells.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
+    codec::end_with_cells(out, cells)
 }
 
 /// Parse an `spp-work-complete` document into `(lease id, start, cells)`.
 pub fn complete_parse(text: &str) -> Result<(u64, usize, Vec<CellRow>), WorkError> {
-    let bad = |err: String| WorkError::protocol("work completion", err);
-    let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-    let obj = json::as_obj(&doc, "$").map_err(|e| bad(e.to_string()))?;
-    let field = |name: &str| json::get_field(obj, &doc, name).map_err(|e| bad(e.to_string()));
-    let format = json::as_str(field("format")?, "format").map_err(|e| bad(e.to_string()))?;
-    if format != COMPLETE_FORMAT {
-        return Err(bad(format!("format tag is not {COMPLETE_FORMAT:?}")));
-    }
-    check_wire_version(field("version")?).map_err(&bad)?;
-    let int = |name: &str| -> Result<u64, WorkError> {
-        json::as_u64(field(name)?, name).map_err(|e| bad(e.to_string()))
-    };
-    let cells_raw = json::as_arr(field("cells")?, "cells").map_err(|e| bad(e.to_string()))?;
-    let mut cells = Vec::with_capacity(cells_raw.len());
-    for (i, cv) in cells_raw.iter().enumerate() {
-        cells.push(
-            crate::sharding::cell_parse(cv, &format!("cells[{i}]"))
-                .map_err(|e| bad(e.to_string()))?,
-        );
-    }
-    Ok((int("lease")?, int("start")? as usize, cells))
+    let doc = Doc::open(text, "work completion", COMPLETE_FORMAT, Family::Wire)?;
+    let cells = doc.cells()?;
+    Ok((doc.u64("lease")?, doc.u64("start")? as usize, cells))
 }
 
 /// Serialize a status snapshot as an `spp-work-status` document (the
 /// `GET /work/status` response body).
 pub fn status_to_json(status: &WorkStatus) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"format\": \"{STATUS_FORMAT}\",");
-    let _ = writeln!(out, "  \"version\": {WORK_WIRE_VERSION},");
+    let mut out = codec::begin(STATUS_FORMAT, Family::Wire);
     let _ = writeln!(out, "  \"jobs\": {},", status.jobs);
     let _ = writeln!(out, "  \"chunks\": {},", status.chunks);
     let _ = writeln!(out, "  \"completed_chunks\": {},", status.completed_chunks);
@@ -858,28 +785,17 @@ pub fn status_to_json(status: &WorkStatus) -> String {
 
 /// Parse an `spp-work-status` document.
 pub fn status_parse(text: &str) -> Result<WorkStatus, WorkError> {
-    let bad = |err: String| WorkError::protocol("work status", err);
-    let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-    let obj = json::as_obj(&doc, "$").map_err(|e| bad(e.to_string()))?;
-    let field = |name: &str| json::get_field(obj, &doc, name).map_err(|e| bad(e.to_string()));
-    let format = json::as_str(field("format")?, "format").map_err(|e| bad(e.to_string()))?;
-    if format != STATUS_FORMAT {
-        return Err(bad(format!("format tag is not {STATUS_FORMAT:?}")));
-    }
-    check_wire_version(field("version")?).map_err(&bad)?;
-    let int = |name: &str| -> Result<u64, WorkError> {
-        json::as_u64(field(name)?, name).map_err(|e| bad(e.to_string()))
-    };
+    let doc = Doc::open(text, "work status", STATUS_FORMAT, Family::Wire)?;
     Ok(WorkStatus {
-        jobs: int("jobs")? as usize,
-        chunks: int("chunks")? as usize,
-        completed_chunks: int("completed_chunks")? as usize,
-        pending: int("pending")? as usize,
-        outstanding: int("outstanding")? as usize,
-        leases: int("leases")?,
-        requeued: int("requeued")?,
-        duplicates: int("duplicates")?,
-        done: as_bool(field("done")?, "done").map_err(bad)?,
+        jobs: doc.u64("jobs")? as usize,
+        chunks: doc.u64("chunks")? as usize,
+        completed_chunks: doc.u64("completed_chunks")? as usize,
+        pending: doc.u64("pending")? as usize,
+        outstanding: doc.u64("outstanding")? as usize,
+        leases: doc.u64("leases")?,
+        requeued: doc.u64("requeued")?,
+        duplicates: doc.u64("duplicates")?,
+        done: doc.bool("done")?,
     })
 }
 

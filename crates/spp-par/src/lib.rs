@@ -112,7 +112,7 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 /// Use this for *outer* parallel layers whose closures are themselves
 /// parallel — e.g. the engine's sharded batch executor runs shards
 /// through here with a small cap, because every shard fans out again via
-/// `par_map` inside `run_batch`; an uncapped outer layer would multiply
+/// `par_map` inside `execute_cells`; an uncapped outer layer would multiply
 /// the two worker pools. A cap of 1 gives the exact sequential execution.
 pub fn par_map_capped<T: Sync, R: Send>(
     items: &[T],

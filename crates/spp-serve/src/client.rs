@@ -18,7 +18,7 @@
 //! recomputation, exactly like a damaged file in a `DiskCache` directory.
 //!
 //! Transient transport faults get **one bounded retry**
-//! ([`http::roundtrip_retry`]): a reset connection or timeout on `get`
+//! ([`http::roundtrip_retry_auth`]): a reset connection or timeout on `get`
 //! or `put` sleeps briefly and tries once more before the usual
 //! degradation applies (cold-cache miss on `get`, loud error on `put`),
 //! so a momentarily busy server does not turn a warm run cold.

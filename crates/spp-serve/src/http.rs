@@ -841,26 +841,17 @@ pub fn pooled_roundtrip_auth(
     Ok(response)
 }
 
-/// Delay between the two attempts of [`roundtrip_retry`].
+/// Delay between the two attempts of [`roundtrip_retry_auth`].
 pub const RETRY_DELAY: Duration = Duration::from_millis(50);
 
-/// [`pooled_roundtrip`] with one bounded retry: any failure of the first
-/// attempt — refused/reset connection, timeout, or a response cut off
-/// mid-frame — sleeps [`RETRY_DELAY`] and tries once more before the
+/// [`pooled_roundtrip_auth`] with one bounded retry: any failure of the
+/// first attempt — refused/reset connection, timeout, or a response cut
+/// off mid-frame — sleeps [`RETRY_DELAY`] and tries once more before the
 /// error stands. One retry rides out the transient blips of a busy or
 /// restarting server; keeping it *bounded* keeps a hard failure loud
 /// (an unreachable cache degrades to cold-cache misses, an unreachable
-/// dispatcher errors) instead of becoming an unbounded hang.
-pub fn roundtrip_retry(
-    authority: &str,
-    method: &str,
-    path_and_query: &str,
-    body: &str,
-) -> Result<Response, HttpError> {
-    roundtrip_retry_auth(authority, method, path_and_query, body, None)
-}
-
-/// [`roundtrip_retry`] with a bearer token attached to the request.
+/// dispatcher errors) instead of becoming an unbounded hang. `token`,
+/// when set, is sent as a bearer token.
 pub fn roundtrip_retry_auth(
     authority: &str,
     method: &str,

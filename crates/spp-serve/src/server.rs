@@ -483,16 +483,12 @@ impl AtomicCounters {
     }
 }
 
-/// The dispatcher role: the engine's lease queue behind a mutex (every
-/// `/work/*` request takes it briefly; chunk execution happens in the
-/// workers' processes, never under this lock).
-struct WorkState {
-    queue: Mutex<WorkQueue>,
-}
-
 struct State {
     cache: Option<DiskCache>,
-    work: Option<WorkState>,
+    /// The dispatcher role: the engine's lease queue behind a mutex
+    /// (every `/work/*` request takes it briefly; chunk execution happens
+    /// in the workers' processes, never under this lock).
+    work: Option<Mutex<WorkQueue>>,
     registry: Registry,
     counters: AtomicCounters,
     /// Per-request service latency (route + response write, excluding
@@ -593,9 +589,7 @@ impl Server {
             workers: config.effective_workers(),
             state: Arc::new(State {
                 cache,
-                work: work.map(|queue| WorkState {
-                    queue: Mutex::new(queue),
-                }),
+                work: work.map(Mutex::new),
                 registry: Registry::builtin(),
                 counters: AtomicCounters::default(),
                 latency: AtomicHist::new(),
@@ -1179,7 +1173,7 @@ fn route(request: &Request, state: &State) -> Reply {
 
 /// The work queue, or the 404 every `/work/*` endpoint answers on a
 /// server without the dispatcher role.
-fn work_queue_of(state: &State) -> Result<&WorkState, Reply> {
+fn work_queue_of(state: &State) -> Result<&Mutex<WorkQueue>, Reply> {
     state.work.as_ref().ok_or_else(|| {
         Reply::error(
             404,
@@ -1189,26 +1183,26 @@ fn work_queue_of(state: &State) -> Result<&WorkState, Reply> {
 }
 
 fn work_lease(state: &State) -> Reply {
-    let ws = match work_queue_of(state) {
-        Ok(ws) => ws,
+    let work = match work_queue_of(state) {
+        Ok(work) => work,
         Err(reply) => return reply,
     };
-    let mut queue = ws.queue.lock().expect("work queue mutex poisoned");
+    let mut queue = work.lock().expect("work queue mutex poisoned");
     let deadline = queue.timeout().map(|t| t.as_secs());
     let grant = queue.lease(Instant::now());
     Reply::json(200, grant_to_json(&grant, deadline))
 }
 
 fn work_complete(body: &str, state: &State) -> Reply {
-    let ws = match work_queue_of(state) {
-        Ok(ws) => ws,
+    let work = match work_queue_of(state) {
+        Ok(work) => work,
         Err(reply) => return reply,
     };
     let (lease_id, start, cells) = match complete_parse(body) {
         Ok(parsed) => parsed,
         Err(e) => return Reply::error(400, &format!("body is not a work completion: {e}")),
     };
-    let mut queue = ws.queue.lock().expect("work queue mutex poisoned");
+    let mut queue = work.lock().expect("work queue mutex poisoned");
     if !queue.knows_lease(lease_id) {
         // A lease this queue never granted (e.g. a worker outliving a
         // dispatcher restart): the worker's state is stale, not merely
@@ -1225,20 +1219,20 @@ fn work_complete(body: &str, state: &State) -> Reply {
 }
 
 fn work_status(state: &State) -> Reply {
-    let ws = match work_queue_of(state) {
-        Ok(ws) => ws,
+    let work = match work_queue_of(state) {
+        Ok(work) => work,
         Err(reply) => return reply,
     };
-    let mut queue = ws.queue.lock().expect("work queue mutex poisoned");
+    let mut queue = work.lock().expect("work queue mutex poisoned");
     Reply::json(200, status_to_json(&queue.status(Instant::now())))
 }
 
 fn work_report(state: &State) -> Reply {
-    let ws = match work_queue_of(state) {
-        Ok(ws) => ws,
+    let work = match work_queue_of(state) {
+        Ok(work) => work,
         Err(reply) => return reply,
     };
-    let mut queue = ws.queue.lock().expect("work queue mutex poisoned");
+    let mut queue = work.lock().expect("work queue mutex poisoned");
     match queue.merged() {
         Some(merged) => Reply::json(200, merged.to_json()),
         None => {
@@ -1710,9 +1704,8 @@ fn stats_reply(state: &State) -> Reply {
             ep.work_report,
             ep.other
         );
-        if let Some(ws) = &state.work {
-            let s = ws
-                .queue
+        if let Some(work) = &state.work {
+            let s = work
                 .lock()
                 .expect("work queue mutex poisoned")
                 .status(Instant::now());

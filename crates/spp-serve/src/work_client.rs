@@ -17,7 +17,7 @@
 //!   socket the dispatcher closed between calls (idle timeout, request
 //!   budget) is replaced transparently;
 //! * every dispatcher call gets **one bounded retry**
-//!   ([`http::roundtrip_retry`]) before its error stands — a dispatcher
+//!   ([`http::roundtrip_retry_auth`]) before its error stands — a dispatcher
 //!   mid-GC or briefly saturated does not kill a worker;
 //! * a persistent transport failure is a loud [`WorkError`] — a worker
 //!   that cannot reach its dispatcher must say so and exit nonzero, not

@@ -55,9 +55,10 @@ use std::process::ExitCode;
 
 use strip_packing::dag::PrecInstance;
 use strip_packing::engine::{
-    cache as solve_cache, merge_reports, run_batch, run_shard, run_sharded, work, BatchJob,
-    CellStatus, DiskCache, MergedReport, Registry, ShardPlan, ShardReport, SolveCache, SolveConfig,
-    SolveRequest, Solver, Validation, WorkError, WorkLease, WorkQueue, WorkSource,
+    cache as solve_cache, execute_cells, merge_reports, run_shard, run_sharded, work, BatchJob,
+    CellRow, CellStatus, DiskCache, MergedReport, Registry, ShardPlan, ShardReport, ShardRuntime,
+    SolveCache, SolveConfig, SolveRequest, Solver, Validation, WorkError, WorkLease, WorkQueue,
+    WorkSource,
 };
 use strip_packing::gen::rects::DagFamily;
 use strip_packing::serve::{HttpCache, IoMode, RemoteLease, ServeConfig, Server, ShardedCache};
@@ -585,21 +586,21 @@ fn cmd_batch_files(args: &[String]) -> ExitCode {
     );
     // Stream per-shard aggregates to stderr as they complete (stdout
     // stays deterministic for diffing).
-    let observer = |r: &ShardReport| {
-        let solved = r
-            .cells
+    let observer = |lease: &WorkLease, cells: &[CellRow], runtime: &ShardRuntime| {
+        let solved = cells
             .iter()
             .filter(|c| c.status == CellStatus::Solved)
             .count();
-        let origin = match r.runtime {
-            Some(rt) if rt.fully_cached(r.cells.len()) => "resumed",
-            _ => "computed",
+        let origin = if runtime.fully_cached(cells.len()) {
+            "resumed"
+        } else {
+            "computed"
         };
         eprintln!(
             "shard {}/{}: {} cells, {solved} solved ({origin})",
-            r.shard,
-            r.shards,
-            r.cells.len()
+            lease.index,
+            plan.shards(),
+            cells.len()
         );
     };
     let t0 = std::time::Instant::now();
@@ -990,7 +991,8 @@ fn reject_flags(args: &[String], flags: &[&str], mode: &str) {
 }
 
 /// Generate `count` instances per family and run every requested solver on
-/// all of them, in parallel, via the engine's batch executor.
+/// all of them, in parallel, via the engine's batch executor. The table is
+/// the one every batch mode prints.
 fn cmd_batch_generated(args: &[String]) -> ExitCode {
     use rand::SeedableRng;
 
@@ -1019,50 +1021,22 @@ fn cmd_batch_generated(args: &[String]) -> ExitCode {
     }
 
     let t0 = std::time::Instant::now();
-    let (results, summary) = run_batch(&jobs, &solvers);
+    let outcomes = execute_cells(&jobs, &solvers, None).expect("cache-less execution cannot fail");
     let wall = t0.elapsed();
-
-    // Deterministic summary table on stdout; timing (machine-dependent) on
-    // stderr so output can be diffed across runs.
-    println!(
-        "| {:<16} | {:>6} | {:>11} | {:>7} | {:>10} | {:>9} | {:>13} |",
-        "solver", "solved", "unsupported", "invalid", "mean ratio", "max ratio", "sum makespan"
-    );
-    println!(
-        "|{}|{}|{}|{}|{}|{}|{}|",
-        "-".repeat(18),
-        "-".repeat(8),
-        "-".repeat(13),
-        "-".repeat(9),
-        "-".repeat(12),
-        "-".repeat(11),
-        "-".repeat(15)
-    );
-    for s in &summary.per_solver {
-        println!(
-            "| {:<16} | {:>6} | {:>11} | {:>7} | {:>10.3} | {:>9.3} | {:>13.3} |",
-            s.solver,
-            s.solved,
-            s.unsupported,
-            s.invalid,
-            s.mean_ratio,
-            s.max_ratio,
-            s.total_makespan
-        );
-    }
-    let failures: usize = summary.per_solver.iter().map(|s| s.invalid).sum();
+    let merged = MergedReport {
+        solvers: solvers.iter().map(|s| s.name().to_string()).collect(),
+        cells: work::cell_rows(outcomes, 0).0,
+    };
+    // Timing (machine-dependent) on stderr, so the table on stdout can be
+    // diffed across runs.
     eprintln!(
         "batch: {} jobs x {} solvers = {} cells in {:.2}s wall",
         jobs.len(),
         solvers.len(),
-        results.len(),
+        merged.cells.len(),
         wall.as_secs_f64()
     );
-    if failures > 0 {
-        eprintln!("error: {failures} cells produced invalid placements");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    finish_merged(&merged, false)
 }
 
 /// `spp cache stats`: summarize a cache directory — entry counts,

@@ -650,6 +650,54 @@ fn merge_rejects_incomplete_shard_sets() {
 }
 
 #[test]
+fn merge_rejects_a_shard_report_with_an_edited_label() {
+    let dir = std::env::temp_dir().join("spp_cli_test_tampered_merge");
+    let _ = std::fs::remove_dir_all(&dir);
+    let suite_dir = dir.join("instances");
+    assert!(spp()
+        .args(["suite", "--out-dir", suite_dir.to_str().unwrap()])
+        .args(["--count", "4", "-n", "8"])
+        .output()
+        .unwrap()
+        .status
+        .success());
+    let mut reports = Vec::new();
+    for i in 0..2 {
+        let report = dir.join(format!("shard{i}.json"));
+        assert!(spp()
+            .args(["batch", "--input-dir", suite_dir.to_str().unwrap()])
+            .args(["--algos", "nfdh", "--shards", "2", "--shard-index"])
+            .arg(i.to_string())
+            .args(["--out", report.to_str().unwrap()])
+            .output()
+            .unwrap()
+            .status
+            .success());
+        reports.push(report.to_str().unwrap().to_string());
+    }
+    let merge = || {
+        spp()
+            .args(["batch", "--merge", &reports.join(",")])
+            .output()
+            .unwrap()
+    };
+    assert!(merge().status.success(), "untouched reports merge");
+
+    // Rename the instance of one cell, the way a hand edit would: the
+    // merge must refuse it, as the dispatcher refuses such a completion.
+    let text = std::fs::read_to_string(&reports[1]).unwrap();
+    let at = text.find("\"label\": \"").unwrap() + "\"label\": \"".len();
+    let end = at + text[at..].find('"').unwrap();
+    let tampered = format!("{}tampered{}", &text[..at], &text[end..]);
+    std::fs::write(&reports[1], tampered).unwrap();
+    let out = merge();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"tampered\""), "{stderr}");
+    assert!(out.stdout.is_empty(), "no table for a rejected merge");
+}
+
+#[test]
 fn algos_lists_advertised_bounds() {
     let out = spp().args(["algos"]).output().unwrap();
     assert!(out.status.success());
