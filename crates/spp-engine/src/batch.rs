@@ -148,9 +148,7 @@ pub fn classify_outcome(outcome: &Result<SolveReport, EngineError>) -> (CellStat
 ///
 /// The result order is deterministic — job-major, then solver in input
 /// order — regardless of scheduling, because `par_map` scatters results
-/// back into input order. Nested parallelism (e.g. `DC`'s internal
-/// `spp_par::join`) is safe: the fork budget in `spp-par` degrades
-/// gracefully to sequential execution.
+/// back into input order.
 ///
 /// Cache semantics:
 /// * a hit yields the stored portable fields and **no solver call** —

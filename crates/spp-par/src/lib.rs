@@ -1,20 +1,15 @@
-//! # spp-par — minimal fork–join parallelism over std scoped threads
+//! # spp-par — minimal parallelism over std scoped threads
 //!
 //! The workspace's allowed dependency set does not include `rayon`, so this
-//! crate provides the three primitives the rest of the workspace needs,
-//! built on [`std::thread::scope`] (scoped threads, so borrowed data
-//! crosses the spawn boundary safely):
+//! crate provides the primitives the rest of the workspace needs, built on
+//! [`std::thread::scope`] (scoped threads, so borrowed data crosses the
+//! spawn boundary safely):
 //!
-//! * [`join`] — run two closures, potentially in parallel, return both
-//!   results (used by the `DC` algorithm whose two recursive calls are
-//!   independent);
 //! * [`par_map`] — map a function over a slice with a bounded number of
 //!   worker threads (used by the experiment harness and the engine's batch
 //!   executor to sweep instances);
 //! * [`par_map_capped`] — [`par_map`] with an explicit worker cap, for
-//!   outer layers (the sharded batch executor) whose closures fan out
-//!   again internally;
-//! * [`par_chunks`] — lower-level chunked parallel-for;
+//!   outer layers whose closures fan out again internally;
 //! * [`run_workers`] — a fixed-size pool of long-lived workers (used by
 //!   the `spp-serve` HTTP front end's accept loop and the engine's
 //!   pull-based work drivers);
@@ -22,82 +17,15 @@
 //!   transient faults at process seams (HTTP cache round trips, work
 //!   dispatcher calls).
 //!
-//! Depth/size cut-offs keep thread creation from swamping small work items:
-//! `join` only forks while a global in-flight-fork budget (≈ number of
-//! cores) is available, and `par_map` never spawns more workers than items.
-//!
-//! Everything falls back to sequential execution when parallelism is
-//! unavailable or unprofitable, so results are *identical* either way —
-//! callers must only pass deterministic closures. `par_map` in particular
-//! returns results in input order regardless of which worker computed what.
+//! A solve runs on the thread that calls it — only an anytime portfolio
+//! search spreads its streams over [`run_workers`] — so the size of the
+//! pool that calls solves bounds the solve threads. `par_map` never
+//! spawns more workers than items and falls back to a sequential map for
+//! tiny inputs; results are *identical* either way — callers must only
+//! pass deterministic closures. `par_map` in particular returns results in
+//! input order regardless of which worker computed what.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Global budget of outstanding forks. Initialized lazily to the number of
-/// available cores. When exhausted, [`join`] runs sequentially.
-static FORK_BUDGET: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-fn init_budget() -> usize {
-    let cur = FORK_BUDGET.load(Ordering::Relaxed);
-    if cur != usize::MAX {
-        return cur;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    // Budget of forks, not threads: each fork adds one extra thread.
-    let budget = cores.saturating_sub(1);
-    let _ = FORK_BUDGET.compare_exchange(usize::MAX, budget, Ordering::Relaxed, Ordering::Relaxed);
-    FORK_BUDGET.load(Ordering::Relaxed)
-}
-
-fn try_acquire_fork() -> bool {
-    init_budget();
-    let mut cur = FORK_BUDGET.load(Ordering::Relaxed);
-    while cur > 0 && cur != usize::MAX {
-        match FORK_BUDGET.compare_exchange_weak(cur, cur - 1, Ordering::Acquire, Ordering::Relaxed)
-        {
-            Ok(_) => return true,
-            Err(c) => cur = c,
-        }
-    }
-    false
-}
-
-fn release_fork() {
-    FORK_BUDGET.fetch_add(1, Ordering::Release);
-}
-
-/// Returns an acquired fork slot on drop — the drop runs during unwinding
-/// too, so a panicking closure cannot permanently shrink the budget and
-/// silently degrade the whole process toward sequential execution.
-struct ForkGuard;
-
-impl Drop for ForkGuard {
-    fn drop(&mut self) {
-        release_fork();
-    }
-}
-
-/// Run `a` and `b`, in parallel when a fork slot is available, and return
-/// both results. Panics in either closure propagate; the fork slot is
-/// released either way.
-pub fn join<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-{
-    if !try_acquire_fork() {
-        return (a(), b());
-    }
-    let _slot = ForkGuard;
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("join: right closure panicked");
-        (ra, rb)
-    })
-}
 
 /// Parallel map over a slice: applies `f` to every element, preserving
 /// order. Spawns at most `min(items, cores)` workers; falls back to a
@@ -162,42 +90,6 @@ pub fn par_map_capped<T: Sync, R: Send>(
         .collect()
 }
 
-/// Parallel for over disjoint chunks of a mutable slice; `f` receives the
-/// chunk index and the chunk. Used for initializing large buffers.
-///
-/// Workers are bounded at `available_parallelism` (like [`par_map_capped`]):
-/// chunks are dealt round-robin to at most that many threads, so a large
-/// buffer with a small chunk size costs `min(cores, chunks)` threads, not
-/// one per chunk.
-pub fn par_chunks<T: Send>(data: &mut [T], chunk: usize, f: impl Fn(usize, &mut [T]) + Sync) {
-    assert!(chunk > 0, "chunk size must be positive");
-    if data.len() <= chunk {
-        f(0, data);
-        return;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk).enumerate().collect();
-    let workers = cores.min(chunks.len());
-    // Deal chunks round-robin into one bucket per worker; each worker owns
-    // its bucket's (disjoint) chunks, so no synchronization is needed.
-    let mut buckets: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
-    for (n, entry) in chunks.into_iter().enumerate() {
-        buckets[n % workers].push(entry);
-    }
-    std::thread::scope(|scope| {
-        for bucket in buckets {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, c) in bucket {
-                    f(i, c);
-                }
-            });
-        }
-    });
-}
-
 /// Call `f` up to `attempts` times, sleeping `delay` between attempts,
 /// until it returns `Ok`. The bounded-retry primitive for transient
 /// faults at process seams (a reset connection to the cache server, a
@@ -255,29 +147,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "x".to_string() + "y");
-        assert_eq!(a, 2);
-        assert_eq!(b, "xy");
-    }
-
-    #[test]
-    fn join_nests_deeply_without_deadlock() {
-        // Recursion far deeper than the core count must still finish:
-        // exhausted budget degrades to sequential execution.
-        fn sum(lo: u64, hi: u64) -> u64 {
-            if hi - lo <= 1_000 {
-                (lo..hi).sum()
-            } else {
-                let mid = (lo + hi) / 2;
-                let (a, b) = join(|| sum(lo, mid), || sum(mid, hi));
-                a + b
-            }
-        }
-        assert_eq!(sum(0, 1_000_000), 499_999_500_000);
-    }
-
-    #[test]
     fn par_map_preserves_order() {
         let xs: Vec<u64> = (0..1000).collect();
         let ys = par_map(&xs, |&x| x * x);
@@ -313,96 +182,6 @@ mod tests {
         let seq: Vec<f64> = xs.iter().map(|x| (x * 17.0).sin()).collect();
         let par = par_map(&xs, |x| (x * 17.0).sin());
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn par_chunks_touches_every_element() {
-        let mut data = vec![0u32; 1037];
-        par_chunks(&mut data, 100, |i, c| {
-            for x in c.iter_mut() {
-                *x = i as u32 + 1;
-            }
-        });
-        assert!(data.iter().all(|&x| x > 0));
-        assert_eq!(data[0], 1);
-        assert_eq!(data[1036], 11);
-    }
-
-    #[test]
-    fn budget_is_restored_after_joins() {
-        init_budget();
-        let before = FORK_BUDGET.load(Ordering::Relaxed);
-        for _ in 0..100 {
-            let _ = join(|| 1, || 2);
-        }
-        assert_eq!(FORK_BUDGET.load(Ordering::Relaxed), before);
-    }
-
-    #[test]
-    fn budget_is_restored_when_a_join_closure_panics() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        init_budget();
-        let before = FORK_BUDGET.load(Ordering::Relaxed);
-        if before == 0 {
-            return; // single-core runner: join never forks, nothing to leak
-        }
-        // Panics on either side, repeated more times than the whole
-        // budget: a leaked slot per panic would drain it to zero and pin
-        // the process sequential.
-        for i in 0..(before + 3) {
-            let left = i % 2 == 0;
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                join(
-                    || {
-                        if left {
-                            panic!("left")
-                        }
-                        1
-                    },
-                    || {
-                        if !left {
-                            panic!("right")
-                        }
-                        2
-                    },
-                )
-            }));
-            assert!(r.is_err());
-        }
-        assert_eq!(
-            FORK_BUDGET.load(Ordering::Relaxed),
-            before,
-            "panicking joins leaked fork slots"
-        );
-        // And join still works (and can still fork) afterwards.
-        assert_eq!(join(|| 20, || 22), (20, 22));
-    }
-
-    #[test]
-    fn par_chunks_bounds_concurrent_workers() {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        // 2048 chunks of 1 element; pre-fix this spawned 2048 threads.
-        let mut data = vec![0u32; 2048];
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        par_chunks(&mut data, 1, |i, c| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            for x in c.iter_mut() {
-                *x = i as u32 + 1;
-            }
-            live.fetch_sub(1, Ordering::SeqCst);
-        });
-        assert!(data.iter().all(|&x| x > 0));
-        assert_eq!(data[2047], 2048);
-        assert!(
-            peak.load(Ordering::SeqCst) <= cores,
-            "peak {} workers exceeds {} cores",
-            peak.load(Ordering::SeqCst),
-            cores
-        );
     }
 
     #[test]

@@ -197,6 +197,44 @@ mod tests {
         spp_core::assert_close!(d.height(&p.inst), 6.0);
     }
 
+    /// With no edges and every release distinct, each release class is a
+    /// single item, so the batched solver reduces to a closed form: items
+    /// in release order, each at `x = 0, y = max(top, r_i)`, then
+    /// `top += h_i`. The placement must equal it exactly over 200 one-item
+    /// `DC` runs.
+    #[test]
+    fn distinct_releases_stack_in_release_order() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let inst = spp_gen::release::poisson_arrivals(
+            &mut rng,
+            200,
+            0.25,
+            spp_gen::release::ReleaseParams::default(),
+        );
+        let p = PrecInstance::unconstrained(inst);
+        let mut order: Vec<usize> = (0..p.len()).collect();
+        order.sort_by(|&a, &b| p.inst.item(a).release.total_cmp(&p.inst.item(b).release));
+        for pair in order.windows(2) {
+            let (a, b) = (p.inst.item(pair[0]), p.inst.item(pair[1]));
+            assert!(
+                b.release - a.release > spp_core::eps::EPS,
+                "releases must be distinct"
+            );
+        }
+
+        let mut want = Placement::zeroed(p.len());
+        let mut top = 0.0f64;
+        for &id in &order {
+            let it = p.inst.item(id);
+            let y = top.max(it.release);
+            want.set(id, 0.0, y);
+            top = y + it.h;
+        }
+        let got = dc_release_batched(&p, &Packer::Nfdh);
+        p.assert_valid(&got);
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn combined_lb_dominates_individual_lbs() {
         for seed in 0..6u64 {

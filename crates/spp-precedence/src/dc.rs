@@ -23,7 +23,11 @@
 //!   `DC(S) ≤ log₂(n+1)·F(S) + 2·AREA(S) ≤ (2 + log₂(n+1))·OPT(S, E)`.
 //!
 //! The two recursive calls are independent (their placements are
-//! y-translation-invariant), so they run in parallel via `spp_par::join`.
+//! y-translation-invariant), but they run one after the other on the
+//! calling thread. Most sub-calls cost less than spawning a thread would,
+//! and every caller (the `spp serve` worker pool, the batch executor's
+//! `par_map`) already runs one solve per core, so a fork could only
+//! contend with a sibling solve.
 
 use spp_core::Placement;
 use spp_dag::PrecInstance;
@@ -155,12 +159,9 @@ fn dc_rec(
     // and max F = H > H/2 means S_bot ≠ S, so both recursive calls are on
     // strictly smaller sets even when S_mid is empty.
 
-    // Steps 7–12. The recursive calls are independent; run them in
-    // parallel. The mid block is packed by A on its induced instance.
-    let ((mut bot_frags, bot_h, bot_stats), (top_frags, top_h, top_stats)) = spp_par::join(
-        || dc_rec(prec, &bot, packer, depth + 1),
-        || dc_rec(prec, &top, packer, depth + 1),
-    );
+    // Steps 7–12. The mid block is packed by A on its induced instance.
+    let (mut frags, bot_h, bot_stats) = dc_rec(prec, &bot, packer, depth + 1);
+    let (top_frags, top_h, top_stats) = dc_rec(prec, &top, packer, depth + 1);
     let (mid_inst, mid_back) = prec.inst.restrict(&mid);
     let mid_pl = packer.pack(&mid_inst);
     debug_assert!(
@@ -170,7 +171,6 @@ fn dc_rec(
     let mid_h = mid_pl.height(&mid_inst);
 
     // Compose: bot at 0, mid above bot, top above mid.
-    let mut frags = std::mem::take(&mut bot_frags);
     frags.reserve(mid.len() + top_frags.len());
     for (local, &gid) in mid_back.iter().enumerate() {
         let p = mid_pl.pos(local);
@@ -253,6 +253,54 @@ mod tests {
         assert_eq!(stats.mid_total, 7, "every item passes through S_mid");
         assert!(stats.a_calls >= 1);
         assert!(stats.max_depth >= 1);
+    }
+
+    /// `DC` calls its subroutine `A` only from the caller's thread: the
+    /// recursion never forks, so a solve costs its caller one thread.
+    /// Several instances make a fork likely to show even while sibling
+    /// tests keep other cores busy. A 1-core host gives a core-budgeted
+    /// fork no spare core, so there this test would pass even for a
+    /// forking recursion.
+    #[test]
+    fn a_runs_only_on_the_callers_thread() {
+        struct RecordingNfdh {
+            threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        }
+        impl StripPacker for RecordingNfdh {
+            fn name(&self) -> &'static str {
+                "recording-nfdh"
+            }
+            fn pack(&self, inst: &Instance) -> Placement {
+                self.threads
+                    .lock()
+                    .unwrap()
+                    .push(std::thread::current().id());
+                Packer::Nfdh.pack(inst)
+            }
+        }
+
+        let n = 200;
+        let caller = std::thread::current().id();
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let inst = spp_gen::rects::uniform(&mut rng, n, (0.05, 0.95), (0.05, 1.0));
+            let dag = spp_gen::rects::DagFamily::Layered.build(&mut rng, n);
+            let p = PrecInstance::new(inst, dag);
+            let packer = RecordingNfdh {
+                threads: Default::default(),
+            };
+            let (pl, stats) = dc_with_stats(&p, &packer);
+            p.assert_valid(&pl);
+            let threads = packer.threads.into_inner().unwrap();
+            assert_eq!(threads.len(), stats.a_calls);
+            let forked = threads.iter().filter(|&&t| t != caller).count();
+            assert_eq!(
+                forked,
+                0,
+                "seed {seed}: {forked} of {} A-calls ran on a forked thread",
+                threads.len()
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! | [`exact`] | exact solvers for small instances |
 //! | [`fpga`] | K-column reconfigurable-device model |
 //! | [`gen`] | workload generators incl. the paper's adversarial families |
-//! | [`par`] | minimal fork-join parallel runtime over std scoped threads |
+//! | [`par`] | parallel map, worker pools and bounded retry over std scoped threads |
 //! | [`serve`] | HTTP front end: shared cache server + solve endpoint (`spp serve`) |
 //!
 //! Algorithm lookup goes through the engine's registry:
