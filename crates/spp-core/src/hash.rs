@@ -12,6 +12,8 @@
 
 use std::fmt;
 
+use crate::item::Item;
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -77,6 +79,10 @@ pub fn fnv1a_tag(h: u64) -> String {
 /// have equal digests iff their canonical documents are byte-identical,
 /// regardless of which on-disk format (or in-memory construction) they
 /// came from; this is the instance half of the solve-cache key.
+///
+/// [`InstanceDigest::of_instance`] streams that document into the hasher
+/// a line at a time instead of building it; the digest's definition —
+/// FNV-1a over the canonical bytes — is the same either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceDigest(u64);
 
@@ -88,6 +94,15 @@ impl InstanceDigest {
     /// hand-formatted.
     pub fn of_canonical_json(doc: &str) -> Self {
         InstanceDigest(Fnv1a::hash(doc.as_bytes()))
+    }
+
+    /// Digest the canonical document of `items` and `edges` (edges in the
+    /// order given; callers sort them) without building it: equal to
+    /// `of_canonical_json(&json::canonical_json(items, edges))`.
+    pub fn of_instance(items: &[Item], edges: &[(usize, usize)]) -> Self {
+        let mut h = Fnv1a::new();
+        crate::json::write_canonical(items, edges, |line| h.write(line));
+        InstanceDigest(h.finish())
     }
 
     /// The raw 64-bit value.
@@ -300,7 +315,6 @@ impl HashRing {
 mod tests {
     use super::*;
     use crate::json::InstanceFile;
-    use crate::Item;
 
     #[test]
     fn matches_published_fnv1a_vectors() {
@@ -324,8 +338,11 @@ mod tests {
         assert_eq!(fnv1a_tag(Fnv1a::hash(b"")), "fnv1a:cbf29ce484222325");
     }
 
+    /// The streamed digest, checked against the materialized document's.
     fn digest_of(file: &InstanceFile) -> InstanceDigest {
-        InstanceDigest::of_canonical_json(&file.to_json())
+        let streamed = InstanceDigest::of_instance(&file.items, &file.edges);
+        assert_eq!(streamed, InstanceDigest::of_canonical_json(&file.to_json()));
+        streamed
     }
 
     fn file(items: Vec<Item>, edges: Vec<(usize, usize)>) -> InstanceFile {

@@ -14,7 +14,8 @@
 
 use std::path::Path;
 
-use spp_core::json::{FileFormatError, InstanceFile};
+use spp_core::json::{self, FileFormatError, InstanceFile};
+use spp_core::{Instance, InstanceDigest};
 use spp_dag::{Dag, PrecInstance};
 
 use crate::textio::TextIoError;
@@ -49,11 +50,10 @@ impl std::fmt::Display for FileIoError {
 impl std::error::Error for FileIoError {}
 
 /// Serialize to the canonical `spp-instance` JSON document (edges sorted,
-/// so equal instances always produce identical bytes).
+/// so equal instances always produce identical bytes). The same writer
+/// streams this document into [`digest`].
 pub fn to_json(prec: &PrecInstance) -> String {
-    let mut edges: Vec<(usize, usize)> = prec.dag.edges().collect();
-    edges.sort_unstable();
-    InstanceFile::from_instance(&prec.inst, edges).to_json()
+    json::canonical_json(prec.inst.items(), &sorted_edges(prec))
 }
 
 /// Canonical content digest of an instance: FNV-1a over the canonical
@@ -62,18 +62,25 @@ pub fn to_json(prec: &PrecInstance) -> String {
 /// instance read from `spp v1` text, from hand-formatted JSON, or built
 /// in memory digests identically as long as the items and edges agree.
 /// This is the instance component of the engine's solve-cache key.
-pub fn digest(prec: &PrecInstance) -> spp_core::InstanceDigest {
-    spp_core::InstanceDigest::of_canonical_json(&to_json(prec))
+///
+/// The document is streamed into the hasher a line at a time and never
+/// built ([`InstanceDigest::of_instance`]); the definition is unchanged.
+pub fn digest(prec: &PrecInstance) -> InstanceDigest {
+    InstanceDigest::of_instance(prec.inst.items(), &sorted_edges(prec))
+}
+
+fn sorted_edges(prec: &PrecInstance) -> Vec<(usize, usize)> {
+    let mut edges: Vec<(usize, usize)> = prec.dag.edges().collect();
+    edges.sort_unstable();
+    edges
 }
 
 /// Parse an `spp-instance` JSON document into a checked [`PrecInstance`].
 pub fn from_json(text: &str) -> Result<PrecInstance, FileIoError> {
-    let file = InstanceFile::parse(text).map_err(FileIoError::Json)?;
-    let n = file.items.len();
-    let inst = file
-        .instance()
-        .map_err(|e| FileIoError::Instance(e.to_string()))?;
-    let dag = Dag::new(n, &file.edges).map_err(|e| FileIoError::Dag(e.to_string()))?;
+    let InstanceFile { items, edges } = InstanceFile::parse(text).map_err(FileIoError::Json)?;
+    let n = items.len();
+    let inst = Instance::new(items).map_err(|e| FileIoError::Instance(e.to_string()))?;
+    let dag = Dag::new(n, &edges).map_err(|e| FileIoError::Dag(e.to_string()))?;
     Ok(PrecInstance::new(inst, dag))
 }
 
@@ -191,6 +198,59 @@ mod tests {
         // Dropping the DAG (same rectangles) also separates.
         let no_dag = spp_dag::PrecInstance::unconstrained(prec.inst.clone());
         assert_ne!(digest(&no_dag), d);
+    }
+
+    /// Digests name every cache entry on disk, so their values are pinned:
+    /// the checked-in microbench instance and an n = 200 suite.
+    #[test]
+    fn digests_are_pinned() {
+        let micro = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../spp-bench/data/micro_n512.json"
+        ));
+        assert_eq!(
+            digest(&from_json(micro).unwrap()).to_string(),
+            "fnv1a:3135e8dc0bc47c85"
+        );
+        let suite = crate::suite::suite(7, 200, 8);
+        let got: Vec<String> = suite.iter().map(|s| digest(&s.prec).hex()).collect();
+        let want = [
+            "625020ad6d822719",
+            "4551feb0ae71e53d",
+            "e0015aa08c5f6cf4",
+            "015a037e48a8809e",
+            "a477c69f99f0ce4e",
+            "08f9dec18603a6c8",
+            "9dbe9f0bd83980d0",
+            "6708b6ba0a03a761",
+        ];
+        assert_eq!(got, want);
+        // The streamed digest is the digest of the materialized document,
+        // and that document reads back to the same digest.
+        for s in &suite {
+            let text = to_json(&s.prec);
+            let d = spp_core::InstanceDigest::of_canonical_json(&text);
+            assert_eq!(digest(&s.prec), d, "{}", s.name);
+            assert_eq!(digest(&from_json(&text).unwrap()), d, "{}", s.name);
+        }
+    }
+
+    /// `-0` passes validation as a release and equals `0`, so it must
+    /// digest as `0`: one cache entry and one improve seed per content.
+    #[test]
+    fn negative_zero_release_digests_as_zero() {
+        let doc = |release: &str| {
+            format!(
+                r#"{{"format": "spp-instance", "version": 1,
+                "items": [{{"id": 0, "w": 0.5, "h": 1, "release": {release}}}], "edges": []}}"#
+            )
+        };
+        let zero = from_json(&doc("0")).unwrap();
+        let negative = from_json(&doc("-0")).unwrap();
+        assert_eq!(zero.inst, negative.inst);
+        assert_eq!(digest(&zero).to_string(), "fnv1a:4dec00bb800acfb0");
+        assert_eq!(digest(&negative), digest(&zero));
+        assert_eq!(to_json(&negative), to_json(&zero));
     }
 
     #[test]
