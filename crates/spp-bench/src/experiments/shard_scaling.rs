@@ -6,9 +6,9 @@
 //! letting the work spread over processes or machines. This experiment
 //! checks the equivalence on a real suite at several shard counts and
 //! reports the wall time of each in-process configuration (shards run
-//! concurrently through `spp_par::par_map_capped`, so 1 shard is the
-//! baseline and more shards mainly measure the overhead of the split on
-//! one machine).
+//! one after another, each spreading its cells over every core, so 1
+//! shard is the baseline and more shards mainly measure the overhead of
+//! the split on one machine).
 
 use crate::table::{f2, Table};
 use spp_engine::{run_sharded, Registry, ShardPlan, SolveConfig};

@@ -60,6 +60,6 @@ pub use sharding::{
 };
 pub use solver::{solve, Capabilities, EngineError, Solver};
 pub use work::{
-    execute_lease, pull_work, LeaseGrant, LocalPlan, PullStats, WorkError, WorkLease, WorkQueue,
-    WorkSource, WorkStatus,
+    execute_lease, pull_work, LeaseGrant, PullStats, WorkError, WorkLease, WorkQueue, WorkSource,
+    WorkStatus,
 };

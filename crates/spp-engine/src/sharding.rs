@@ -8,18 +8,19 @@
 //! 1. a [`ShardPlan`] turns a directory or file list into a sorted,
 //!    deterministically split sequence of shards (contiguous ranges, so
 //!    shard outputs concatenate back into global order);
-//! 2. [`run_shard`] loads one shard's files and feeds every
-//!    (instance, solver) cell through the engine's single
-//!    cache-consulting pipeline, distilling the outcome into a
-//!    [`ShardReport`] of portable [`CellRow`]s — exactly the
-//!    deterministic fields (status, makespan, combined LB), no
-//!    wall-clock noise;
+//! 2. [`ShardPlan::lease`] turns shard `i` into a pre-assigned
+//!    [`WorkLease`], and [`run_shard`] runs it through
+//!    [`execute_lease`] — the engine's single cache-consulting pipeline —
+//!    distilling the outcome into a [`ShardReport`] of portable
+//!    [`CellRow`]s: exactly the deterministic fields (status, makespan,
+//!    combined LB), no wall-clock noise;
 //! 3. [`merge_reports`] stitches shard reports (possibly produced by
 //!    different processes) into a [`MergedReport`] whose cells are in
 //!    global order, so the rendered summary is **byte-identical** to a
 //!    single-process run over the same inputs;
-//! 4. [`run_sharded`] drives all shards concurrently in one process and
-//!    streams each completed shard to an observer.
+//! 4. [`run_sharded`] runs every shard's lease in one process, one after
+//!    another on the calling thread, and streams each finished shard to
+//!    an observer.
 //!
 //! **A batch result has one form.** Every batch mode — `spp batch
 //! --families`, a file-mode run, a `--merge` of shard reports, and the
@@ -27,18 +28,10 @@
 //! [`CellRow`]s, aggregated by [`MergedReport::summary`] and printed by
 //! [`MergedReport::render_table`].
 //!
-//! **A `ShardPlan` is one [`WorkSource`](crate::work::WorkSource)
-//! construction.** The execution side of this module is a thin
-//! shard-shaped view over the pull-based work layer in [`crate::work`]:
-//! [`ShardPlan::work_queue`] partitions the plan's sorted file list into a
-//! [`WorkQueue`](crate::work::WorkQueue) whose chunks are exactly the
-//! shard ranges, [`run_shard`] executes one such chunk via
-//! [`execute_lease`](crate::work::execute_lease), and [`run_sharded`]
-//! drives the whole queue with in-process
-//! [`pull_work`](crate::work::pull_work) workers — the same loop the
-//! distributed `spp work` pullers run against a remote dispatcher. A
-//! merge checks each shard's cells with the same chunk check the queue
-//! applies to every completion.
+//! **A shard is a lease.** In-process shards, `--shard-index` processes
+//! and the leases a dispatcher hands to `spp work` pullers all run the
+//! same [`execute_lease`], and a merge checks each shard's cells with the
+//! same chunk check the dispatcher's queue applies to every completion.
 //!
 //! **Resume is the cache.** There is no separate manifest code path:
 //! attach a [`DiskCache`](crate::cache::DiskCache) and every already
@@ -55,7 +48,6 @@
 //! so a merge across processes loses no precision.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use spp_core::hash::Fnv1a;
@@ -66,10 +58,7 @@ use crate::cache::SolveCache;
 use crate::codec::{self, Doc, Family};
 use crate::request::SolveConfig;
 use crate::solver::Solver;
-use crate::work::{
-    check_chunk, execute_lease, pull_work, LeaseObserver, LocalPlan, WorkError, WorkLease,
-    WorkQueue,
-};
+use crate::work::{check_chunk, execute_lease, LeaseObserver, WorkError, WorkLease};
 
 // ---------------------------------------------------------------------------
 // Shard planning
@@ -192,21 +181,24 @@ impl ShardPlan {
         Ok(&self.paths[self.shard_range(shard)?])
     }
 
-    /// The plan as a pull-based [`WorkQueue`]: one chunk per shard range,
-    /// in shard order — which is why a merged pull-based run is
-    /// byte-identical to the eager split. `timeout` is the lease expiry
-    /// for distributed dispatch (`None` in-process: local workers cannot
-    /// die without the queue dying too).
-    pub fn work_queue(
+    /// Shard `shard` as a pre-assigned [`WorkLease`]: its files in global
+    /// order, numbered from the shard's first global job, to be run by the
+    /// named solvers under `config`. Its `id` is 0: no queue granted it.
+    pub fn lease(
         &self,
-        solvers: Vec<String>,
-        config: SolveConfig,
-        timeout: Option<Duration>,
-    ) -> WorkQueue {
-        let ranges = (0..self.shards)
-            .map(|s| self.shard_range(s).expect("index in range by construction"))
-            .collect();
-        WorkQueue::new(self.paths.clone(), solvers, config, ranges, timeout)
+        shard: usize,
+        solvers: &[String],
+        config: &SolveConfig,
+    ) -> Result<WorkLease, WorkError> {
+        let range = self.shard_range(shard)?;
+        Ok(WorkLease {
+            id: 0,
+            index: shard,
+            start: range.start,
+            paths: self.paths[range].to_vec(),
+            solvers: solvers.to_vec(),
+            config: config.clone(),
+        })
     }
 
     /// FNV-1a fingerprint of the full (sorted) path list. Every shard
@@ -500,9 +492,10 @@ impl MergedReport {
 /// must agree on shard count, solver list, config signature and plan
 /// fingerprint. The plan is then rebuilt from the reports' `inputs` and
 /// must hash to that fingerprint, and each shard's cells must pass the
-/// same chunk check [`WorkQueue::complete`] applies to a worker's
-/// completion — so a truncated or hand-edited report is rejected rather
-/// than folded into the aggregates.
+/// same chunk check
+/// [`WorkQueue::complete`](crate::work::WorkQueue::complete) applies to a
+/// worker's completion — so a truncated or hand-edited report is
+/// rejected rather than folded into the aggregates.
 pub fn merge_reports(mut reports: Vec<ShardReport>) -> Result<MergedReport, WorkError> {
     let bad = |err: String| WorkError::Protocol {
         context: "merge".into(),
@@ -587,8 +580,12 @@ pub(crate) fn label_for(path: &Path) -> String {
         .unwrap_or_else(|| path.display().to_string())
 }
 
-/// Run one shard: execute its chunk of the plan through the engine's
-/// single cache-consulting pipeline
+fn solver_names(solvers: &[Box<dyn Solver>]) -> Vec<String> {
+    solvers.iter().map(|s| s.name().to_string()).collect()
+}
+
+/// Run one shard: execute its [lease](ShardPlan::lease) through the
+/// engine's single cache-consulting pipeline
 /// ([`execute_cells`](crate::batch::execute_cells), via
 /// [`execute_lease`]), reducing to the portable report a later
 /// [`merge_reports`] consumes.
@@ -599,20 +596,16 @@ pub fn run_shard(
     config: &SolveConfig,
     cache: Option<&dyn SolveCache>,
 ) -> Result<ShardReport, WorkError> {
-    let paths = plan.shard_paths(shard)?;
-    let lease = WorkLease {
-        id: 0,
-        index: shard,
-        start: plan.shard_range(shard)?.start,
-        paths: paths.to_vec(),
-        solvers: solvers.iter().map(|s| s.name().to_string()).collect(),
-        config: config.clone(),
-    };
+    let lease = plan.lease(shard, &solver_names(solvers), config)?;
     let (cells, _) = execute_lease(&lease, solvers, cache)?;
     Ok(ShardReport {
         shard,
         shards: plan.shards(),
-        inputs: paths.iter().map(|p| p.display().to_string()).collect(),
+        inputs: lease
+            .paths
+            .iter()
+            .map(|p| p.display().to_string())
+            .collect(),
         plan_fp: plan.fingerprint(),
         config_sig: config.signature(),
         solvers: lease.solvers,
@@ -620,23 +613,24 @@ pub fn run_shard(
     })
 }
 
-/// Run every shard of the plan concurrently and merge.
+/// Run every shard of the plan and merge.
 ///
-/// The plan becomes a [`WorkQueue`] (one chunk per shard) behind a
-/// [`LocalPlan`] work source, drained by a small pool of in-process
-/// [`pull_work`] workers — the same pull loop the distributed `spp work`
-/// pullers run, so local and dispatched execution cannot drift apart.
-/// Chunks concatenate in shard order, so the output does not depend on
-/// the shard count.
+/// Shards run one after another on the calling thread, each as its
+/// [lease](ShardPlan::lease) through [`execute_lease`], which spreads
+/// the shard's cells over every core; this function spawns no thread of
+/// its own. Shard cells concatenate in shard order, which is global job
+/// order, so the output does not depend on the shard count.
 ///
 /// * `cache` — consulted cell-by-cell before any solve and written back
 ///   on miss; pass a [`DiskCache`](crate::cache::DiskCache) to make the
 ///   run resumable (and to share work with other processes pointing at
 ///   the same directory). There is no separate resume path: a rerun over
 ///   a warm cache recomputes nothing and produces byte-identical output.
-/// * `observer` — called with each shard's lease (`index` is the shard),
-///   cells and [`ShardRuntime`] as it completes, from worker threads, in
-///   completion order: the streaming progress hook.
+/// * `observer` — called on the calling thread, in shard order, with
+///   each shard's lease (`index` is the shard), cells and
+///   [`ShardRuntime`] as it finishes: the streaming progress hook.
+///
+/// The first shard that fails ends the run with its error.
 pub fn run_sharded(
     plan: &ShardPlan,
     solvers: &[Box<dyn Solver>],
@@ -644,32 +638,20 @@ pub fn run_sharded(
     cache: Option<&dyn SolveCache>,
     observer: Option<&LeaseObserver<'_>>,
 ) -> Result<MergedReport, WorkError> {
-    let names: Vec<String> = solvers.iter().map(|s| s.name().to_string()).collect();
-    let source = LocalPlan::new(plan.work_queue(names, config.clone(), None));
-    // Cap the puller pool: each lease saturates cores via the executor's
-    // own par_map, so a handful of in-flight chunks is enough to hide
-    // file-I/O latency without multiplying worker pools.
-    let pullers = plan.shards().clamp(1, 4);
-    let first_error: Mutex<Option<WorkError>> = Mutex::new(None);
-    let execute = |lease: &WorkLease| execute_lease(lease, solvers, cache);
-    spp_par::run_workers(pullers, |_| {
-        if let Err(e) = pull_work(&source, &execute, observer, Duration::from_millis(5)) {
-            // Keep the first *real* error; `Aborted` is only the echo a
-            // sibling hears after someone else failed.
-            if e != WorkError::Aborted {
-                let mut slot = first_error.lock().expect("error slot poisoned");
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-            }
+    let names = solver_names(solvers);
+    let mut cells = Vec::new();
+    for shard in 0..plan.shards() {
+        let lease = plan.lease(shard, &names, config)?;
+        let (rows, runtime) = execute_lease(&lease, solvers, cache)?;
+        if let Some(observe) = observer {
+            observe(&lease, &rows, &runtime);
         }
-    });
-    if let Some(e) = first_error.into_inner().expect("error slot poisoned") {
-        return Err(e);
+        cells.extend(rows);
     }
-    source
-        .into_merged()
-        .ok_or_else(|| WorkError::protocol("work", "queue did not drain"))
+    Ok(MergedReport {
+        solvers: names,
+        cells,
+    })
 }
 
 #[cfg(test)]
@@ -831,6 +813,27 @@ mod tests {
     }
 
     #[test]
+    fn shards_run_on_the_callers_thread_in_shard_order() {
+        let dir = write_suite("order", 8);
+        let plan = ShardPlan::from_dir(&dir, 4).unwrap();
+        let calls = std::sync::Mutex::new(Vec::new());
+        let observer = |lease: &WorkLease, _: &[CellRow], _: &ShardRuntime| {
+            calls
+                .lock()
+                .unwrap()
+                .push((lease.index, std::thread::current().id()));
+        };
+        let s = solvers(&["nfdh", "dc-nfdh"]);
+        let config = SolveConfig::default();
+        run_sharded(&plan, &s, &config, None, Some(&observer)).unwrap();
+        let calls = calls.into_inner().unwrap();
+        let order: Vec<usize> = calls.iter().map(|&(index, _)| index).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        let me = std::thread::current().id();
+        assert!(calls.iter().all(|&(_, id)| id == me), "{calls:?}");
+    }
+
+    #[test]
     fn cache_resume_serves_completed_cells_and_survives_corruption() {
         let dir = write_suite("resume", 8);
         let cache_dir = std::env::temp_dir().join("spp_engine_shard_resume_cache");
@@ -859,9 +862,7 @@ mod tests {
         let second = run_sharded(&plan, &solvers2, &config, Some(&warm), Some(&observer)).unwrap();
         assert_eq!(first.cells, second.cells);
         assert_eq!(first.render_cells(), second.render_cells());
-        let mut resumed = resumed.lock().unwrap().clone();
-        resumed.sort_unstable();
-        assert_eq!(resumed, vec![0, 1, 2]);
+        assert_eq!(*resumed.lock().unwrap(), vec![0, 1, 2]);
         assert_eq!(warm.stats().misses, 0, "warm run invoked a solver");
 
         // Corrupt one entry: exactly that cell recomputes; output is

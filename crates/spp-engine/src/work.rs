@@ -1,36 +1,35 @@
 //! Pull-based work distribution: the [`WorkSource`] seam.
 //!
 //! Everything the engine runs at scale is a list of instance files whose
-//! cells flow through [`execute_cells`](crate::batch::execute_cells).
-//! This module makes **"where the next batch of cells comes from"** a
-//! first-class seam instead of an eager upfront partition:
+//! cells flow through [`execute_cells`]. The unit of work is a
+//! [`WorkLease`] (a contiguous range of global job indices plus the
+//! instance files backing them, the solver names to run, and the
+//! [`SolveConfig`] knobs), and [`execute_lease`] is the one way a lease's
+//! cells are computed:
 //!
-//! * a [`WorkSource`] hands out [`WorkLease`]s (a contiguous range of
-//!   global job indices plus the instance files backing them, the solver
-//!   names to run, and the [`SolveConfig`] knobs), accepts completed
-//!   portable [`CellRow`]s back, and reports progress;
-//! * [`pull_work`] is the one worker loop: lease → load → execute →
-//!   complete, repeated until the source is drained — used identically
-//!   by the in-process sharded driver and the distributed `spp work`
-//!   pullers;
-//! * [`WorkQueue`] is the one lease manager: fixed chunks handed out on
-//!   demand, **expired leases requeued** (a killed worker loses
-//!   nothing), completion **idempotent** (a chunk completes once; late
-//!   or duplicate completions are acknowledged, never double-counted);
+//! * in process, `run_sharded` and `run_shard` execute pre-assigned shard
+//!   leases ([`ShardPlan::lease`](crate::sharding::ShardPlan::lease)) on
+//!   the calling thread;
+//! * across processes, a [`WorkSource`] hands out leases, accepts
+//!   completed portable [`CellRow`]s back, and reports progress;
+//!   [`pull_work`] is the loop every `spp work` puller runs against it:
+//!   lease → execute → complete, until the source is drained;
+//! * [`WorkQueue`] is the lease manager the `spp-serve` dispatcher holds
+//!   behind `POST /work/lease` / `POST /work/complete` /
+//!   `GET /work/status` (its `RemoteLease` client implements the trait
+//!   over HTTP): fixed chunks handed out on demand, **expired leases
+//!   requeued** (a killed worker loses nothing), completion
+//!   **idempotent** (a chunk completes once; late or duplicate
+//!   completions are acknowledged, never double-counted);
 //! * one structural check of a chunk's cells (`check_chunk`) runs on
 //!   every queue completion, so a broken worker cannot corrupt the merged
 //!   report, and in [`merge_reports`](crate::sharding::merge_reports) on
-//!   every static shard report;
-//! * [`LocalPlan`] wraps a `WorkQueue` behind the trait for in-process
-//!   execution (`run_sharded`); the `spp-serve` dispatcher holds the
-//!   *same* queue behind `POST /work/lease` / `POST /work/complete` /
-//!   `GET /work/status`, and its `RemoteLease` client implements the
-//!   same trait over HTTP.
+//!   every static shard report.
 //!
-//! Pull-based leasing is the classic fix for shard imbalance: per-cell
-//! cost here spans microsecond shelf heuristics to the APTAS LP, so any
-//! static `--shard-index` split leaves workers idle while one grinds.
-//! With leases, a fast worker simply pulls more chunks.
+//! Pull-based leasing is the classic fix for shard imbalance across
+//! machines: per-cell cost here spans microsecond shelf heuristics to the
+//! APTAS LP, so any static `--shard-index` split leaves workers idle
+//! while one grinds. With leases, a fast worker simply pulls more chunks.
 //!
 //! Determinism: chunks partition the global (sorted) job order and the
 //! merged cells are concatenated in chunk order, so the merged report is
@@ -42,8 +41,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::batch::{execute_cells, BatchJob, CellOutcome};
@@ -70,8 +67,6 @@ pub enum WorkError {
     /// report or wire document, inconsistent shard reports, unreachable
     /// dispatcher.
     Protocol { context: String, err: String },
-    /// The source was aborted (another local worker hit a real error).
-    Aborted,
 }
 
 impl WorkError {
@@ -90,7 +85,6 @@ impl std::fmt::Display for WorkError {
             WorkError::Load { path, err } => write!(f, "{path}: {err}"),
             WorkError::BadPlan(msg) => write!(f, "bad shard plan: {msg}"),
             WorkError::Protocol { context, err } => write!(f, "{context}: {err}"),
-            WorkError::Aborted => write!(f, "work source aborted"),
         }
     }
 }
@@ -175,10 +169,9 @@ pub struct WorkStatus {
 /// Where cells come from and where their results go — the seam between
 /// the execution core and any distribution topology.
 ///
-/// Implementations must be shareable across worker threads. `abort` is a
-/// local-courtesy hook: the in-process [`LocalPlan`] uses it to stop
-/// sibling workers when one hits a real error; a remote source ignores
-/// it (the dispatcher requeues the lease at its deadline instead).
+/// Implementations must be shareable across worker threads. A worker
+/// that fails just stops: the dispatcher requeues its lease at the
+/// deadline.
 pub trait WorkSource: Sync {
     /// Ask for the next lease.
     fn lease(&self) -> Result<LeaseGrant, WorkError>;
@@ -190,9 +183,6 @@ pub trait WorkSource: Sync {
 
     /// Progress snapshot.
     fn progress(&self) -> Result<WorkStatus, WorkError>;
-
-    /// Stop handing out work (best effort; default is a no-op).
-    fn abort(&self) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -204,9 +194,9 @@ struct Outstanding {
     deadline: Option<Instant>,
 }
 
-/// The one lease manager behind both [`LocalPlan`] and the `spp-serve`
-/// dispatcher: a fixed partition of the (sorted) job list into chunks,
-/// handed out on demand, requeued on expiry, completed idempotently.
+/// The lease manager behind the `spp-serve` dispatcher: a fixed
+/// partition of the (sorted) job list into chunks, handed out on demand,
+/// requeued on expiry, completed idempotently.
 ///
 /// Every method takes `now` explicitly so expiry is testable without
 /// real clocks; callers pass `Instant::now()`.
@@ -214,8 +204,7 @@ pub struct WorkQueue {
     paths: Vec<PathBuf>,
     solvers: Vec<String>,
     config: SolveConfig,
-    /// `None` = leases never expire (the in-process case: a local worker
-    /// cannot vanish without the whole process vanishing).
+    /// `None` = leases never expire.
     timeout: Option<Duration>,
     chunks: Vec<Range<usize>>,
     pending: VecDeque<usize>,
@@ -470,61 +459,6 @@ impl WorkQueue {
 }
 
 // ---------------------------------------------------------------------------
-// The in-process source
-// ---------------------------------------------------------------------------
-
-/// The in-process [`WorkSource`]: a mutexed [`WorkQueue`] with no lease
-/// expiry (local workers cannot die independently of the queue), plus an
-/// abort flag so one worker's hard error stops its siblings instead of
-/// leaving them polling a queue that can never drain.
-pub struct LocalPlan {
-    queue: Mutex<WorkQueue>,
-    aborted: AtomicBool,
-}
-
-impl LocalPlan {
-    pub fn new(queue: WorkQueue) -> Self {
-        LocalPlan {
-            queue: Mutex::new(queue),
-            aborted: AtomicBool::new(false),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, WorkQueue> {
-        self.queue.lock().expect("work queue mutex poisoned")
-    }
-
-    /// The merged report — `None` unless every chunk completed.
-    pub fn into_merged(self) -> Option<MergedReport> {
-        self.queue
-            .into_inner()
-            .expect("work queue mutex poisoned")
-            .merged()
-    }
-}
-
-impl WorkSource for LocalPlan {
-    fn lease(&self) -> Result<LeaseGrant, WorkError> {
-        if self.aborted.load(Ordering::Relaxed) {
-            return Err(WorkError::Aborted);
-        }
-        Ok(self.lock().lease(Instant::now()))
-    }
-
-    fn complete(&self, lease_id: u64, start: usize, cells: &[CellRow]) -> Result<(), WorkError> {
-        self.lock().complete(lease_id, start, cells)
-    }
-
-    fn progress(&self) -> Result<WorkStatus, WorkError> {
-        Ok(self.lock().status(Instant::now()))
-    }
-
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::Relaxed);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Lease execution and the pull loop
 // ---------------------------------------------------------------------------
 
@@ -534,8 +468,8 @@ impl WorkSource for LocalPlan {
 /// the runtime facts (CPU time, cache hits).
 ///
 /// `solvers` must be the resolved instances of `lease.solvers` in the
-/// same order (the in-process driver passes its own handles; `spp work`
-/// resolves the names through the registry).
+/// same order (`run_sharded` passes its own handles; `spp work` resolves
+/// the names through the registry).
 pub fn execute_lease(
     lease: &WorkLease,
     solvers: &[Box<dyn Solver>],
@@ -602,25 +536,21 @@ pub struct PullStats {
 pub type LeaseExecutor<'a> =
     dyn Fn(&WorkLease) -> Result<(Vec<CellRow>, ShardRuntime), WorkError> + Sync + 'a;
 
-/// Called by [`pull_work`] after each lease is completed, with the
-/// lease, its cells and how they were obtained — the streaming progress
-/// hook (e.g. `run_sharded`'s per-shard observer).
-pub type LeaseObserver<'a> = dyn Fn(&WorkLease, &[CellRow], &ShardRuntime) + Sync + 'a;
+/// Called by `run_sharded`, on the thread that called it, after each
+/// shard's lease is executed, with the lease, its cells and how they were
+/// obtained — the streaming progress hook.
+pub type LeaseObserver<'a> = dyn Fn(&WorkLease, &[CellRow], &ShardRuntime) + 'a;
 
 /// The one worker loop: lease → execute → complete, until the source is
-/// drained. `Wait` grants sleep `poll` and retry. A panicking `execute`
-/// (a solver bug) aborts the source before resuming the panic, so
-/// sibling local workers stop instead of waiting forever on the chunk
-/// that will never complete; an execute *error* aborts the source and
-/// returns.
+/// drained. `Wait` grants sleep `poll` and retry. An execute error is
+/// returned and its chunk stays open: a dispatcher requeues it at the
+/// lease deadline, so the next puller re-runs it.
 ///
-/// Both distribution topologies run exactly this loop: `run_sharded`
-/// over a [`LocalPlan`], and every `spp work` process over a
-/// `RemoteLease` — the dispatcher cannot tell the difference.
+/// Every `spp work` process runs exactly this loop over a `RemoteLease`;
+/// the dispatcher cannot tell one puller from another.
 pub fn pull_work(
     source: &dyn WorkSource,
     execute: &LeaseExecutor<'_>,
-    on_complete: Option<&LeaseObserver<'_>>,
     poll: Duration,
 ) -> Result<PullStats, WorkError> {
     let mut stats = PullStats::default();
@@ -632,25 +562,10 @@ pub fn pull_work(
                 std::thread::sleep(poll);
             }
             LeaseGrant::Work(lease) => {
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(&lease)));
-                let (cells, runtime) = match outcome {
-                    Ok(Ok(done)) => done,
-                    Ok(Err(e)) => {
-                        source.abort();
-                        return Err(e);
-                    }
-                    Err(panic) => {
-                        source.abort();
-                        std::panic::resume_unwind(panic);
-                    }
-                };
+                let (cells, _) = execute(&lease)?;
                 source.complete(lease.id, lease.start, &cells)?;
                 stats.leases += 1;
                 stats.cells += cells.len() as u64;
-                if let Some(hook) = on_complete {
-                    hook(&lease, &cells, &runtime);
-                }
             }
         }
     }
@@ -986,24 +901,54 @@ mod tests {
         assert_eq!(q.merged().unwrap().cells.len(), 1);
     }
 
+    /// The dispatcher's shape without HTTP: one mutexed queue behind the
+    /// trait, shared by every pull loop.
+    struct SharedQueue(std::sync::Mutex<WorkQueue>);
+
+    impl SharedQueue {
+        fn lock(&self) -> std::sync::MutexGuard<'_, WorkQueue> {
+            self.0.lock().unwrap()
+        }
+    }
+
+    impl WorkSource for SharedQueue {
+        fn lease(&self) -> Result<LeaseGrant, WorkError> {
+            Ok(self.lock().lease(Instant::now()))
+        }
+
+        fn complete(
+            &self,
+            lease_id: u64,
+            start: usize,
+            cells: &[CellRow],
+        ) -> Result<(), WorkError> {
+            self.lock().complete(lease_id, start, cells)
+        }
+
+        fn progress(&self) -> Result<WorkStatus, WorkError> {
+            Ok(self.lock().status(Instant::now()))
+        }
+    }
+
+    fn runtime() -> ShardRuntime {
+        ShardRuntime {
+            cpu_time: Duration::ZERO,
+            cache_hits: 0,
+        }
+    }
+
     #[test]
-    fn local_plan_pull_loop_drains_concurrently() {
-        let source = LocalPlan::new(queue(9, 2, None));
-        let execute = |lease: &WorkLease| {
-            let cells = rows_for(lease);
-            Ok((
-                cells,
-                ShardRuntime {
-                    cpu_time: Duration::ZERO,
-                    cache_hits: 0,
-                },
-            ))
-        };
+    fn three_pull_loops_drain_one_queue_in_global_order() {
+        let source = SharedQueue(std::sync::Mutex::new(queue(9, 2, None)));
+        let execute = |lease: &WorkLease| Ok((rows_for(lease), runtime()));
+        let leases = std::sync::atomic::AtomicU64::new(0);
         spp_par::run_workers(3, |_| {
-            pull_work(&source, &execute, None, Duration::from_millis(1)).unwrap();
+            let stats = pull_work(&source, &execute, Duration::from_millis(1)).unwrap();
+            leases.fetch_add(stats.leases, std::sync::atomic::Ordering::SeqCst);
         });
         assert!(source.progress().unwrap().done);
-        let merged = source.into_merged().unwrap();
+        assert_eq!(leases.into_inner(), 5, "every chunk executed exactly once");
+        let merged = source.lock().merged().unwrap();
         assert_eq!(merged.cells.len(), 18);
         for (i, c) in merged.cells.iter().enumerate() {
             assert_eq!(c.job, i / 2);
@@ -1011,33 +956,36 @@ mod tests {
     }
 
     #[test]
-    fn pull_loop_aborts_siblings_on_error() {
-        let source = LocalPlan::new(queue(8, 1, None));
-        let failures = std::sync::atomic::AtomicUsize::new(0);
-        let execute = |lease: &WorkLease| -> Result<(Vec<CellRow>, ShardRuntime), WorkError> {
-            if lease.start == 3 {
-                return Err(WorkError::Load {
-                    path: "i03.json".into(),
-                    err: "boom".into(),
-                });
-            }
-            Ok((
-                rows_for(lease),
-                ShardRuntime {
-                    cpu_time: Duration::ZERO,
-                    cache_hits: 0,
-                },
-            ))
+    fn pull_work_returns_the_execute_error_and_leaves_that_chunk_open() {
+        let timeout = Duration::from_secs(10);
+        let source = SharedQueue(std::sync::Mutex::new(queue(8, 1, Some(timeout))));
+        let boom = WorkError::Load {
+            path: "i03.json".into(),
+            err: "boom".into(),
         };
-        spp_par::run_workers(2, |_| {
-            if pull_work(&source, &execute, None, Duration::from_millis(1)).is_err() {
-                failures.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let execute = |lease: &WorkLease| {
+            if lease.start == 3 {
+                return Err(boom.clone());
             }
-        });
-        // At least the worker that hit the bad lease failed; no worker
-        // hung waiting for the chunk that will never complete.
-        assert!(failures.load(std::sync::atomic::Ordering::SeqCst) >= 1);
-        assert!(source.into_merged().is_none());
+            Ok((rows_for(lease), runtime()))
+        };
+        let err = pull_work(&source, &execute, Duration::from_millis(1)).unwrap_err();
+        assert_eq!(err, boom);
+        // Chunks 0–2 completed; chunk 3 is still leased out, and the loop
+        // stopped before pulling chunks 4–7.
+        let now = Instant::now();
+        let status = source.lock().status(now);
+        assert_eq!(
+            (status.completed_chunks, status.outstanding, status.pending),
+            (3, 1, 4)
+        );
+        assert!(source.lock().merged().is_none());
+        // At its deadline the failed chunk requeues for the next puller.
+        let later = source.lock().status(now + timeout);
+        assert_eq!(
+            (later.outstanding, later.pending, later.requeued),
+            (0, 5, 1)
+        );
     }
 
     #[test]

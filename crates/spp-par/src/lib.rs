@@ -8,11 +8,9 @@
 //! * [`par_map`] — map a function over a slice with a bounded number of
 //!   worker threads (used by the experiment harness and the engine's batch
 //!   executor to sweep instances);
-//! * [`par_map_capped`] — [`par_map`] with an explicit worker cap, for
-//!   outer layers whose closures fan out again internally;
 //! * [`run_workers`] — a fixed-size pool of long-lived workers (used by
-//!   the `spp-serve` HTTP front end's accept loop and the engine's
-//!   pull-based work drivers);
+//!   the `spp-serve` HTTP front end's accept loop, the anytime portfolio
+//!   search's streams and `spp work --workers` pullers);
 //! * [`retry`] — bounded retry with a fixed inter-attempt delay, for
 //!   transient faults at process seams (HTTP cache round trips, work
 //!   dispatcher calls).
@@ -31,26 +29,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// order. Spawns at most `min(items, cores)` workers; falls back to a
 /// sequential map for tiny inputs.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    par_map_capped(items, usize::MAX, f)
-}
-
-/// [`par_map`] with an explicit worker cap (still also capped at core
-/// count and item count).
-///
-/// Use this for *outer* parallel layers whose closures are themselves
-/// parallel — e.g. the engine's sharded batch executor runs shards
-/// through here with a small cap, because every shard fans out again via
-/// `par_map` inside `execute_cells`; an uncapped outer layer would multiply
-/// the two worker pools. A cap of 1 gives the exact sequential execution.
-pub fn par_map_capped<T: Sync, R: Send>(
-    items: &[T],
-    cap: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
-    let workers = cores.min(items.len()).min(cap.max(1));
+    let workers = cores.min(items.len());
     if workers <= 1 || items.len() < 4 {
         return items.iter().map(f).collect();
     }
@@ -153,17 +135,6 @@ mod tests {
         for (i, y) in ys.iter().enumerate() {
             assert_eq!(*y, (i * i) as u64);
         }
-    }
-
-    #[test]
-    fn par_map_capped_matches_uncapped() {
-        let xs: Vec<u64> = (0..200).collect();
-        let want: Vec<u64> = xs.iter().map(|&x| x * 3 + 1).collect();
-        for cap in [1, 2, 3, usize::MAX] {
-            assert_eq!(par_map_capped(&xs, cap, |&x| x * 3 + 1), want, "cap {cap}");
-        }
-        // cap 0 is clamped to 1 (sequential), not a panic
-        assert_eq!(par_map_capped(&xs, 0, |&x| x * 3 + 1), want);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! `RemoteLease` — the network implementation of the engine's
 //! [`WorkSource`] trait, speaking the `spp dispatch` work protocol.
 //!
-//! An `spp work` process runs the engine's one pull loop
-//! ([`pull_work`](spp_engine::pull_work)) over a `RemoteLease` exactly
-//! the way `run_sharded` runs it over a `LocalPlan`: lease a chunk of
-//! instance files, execute its cells (through whatever [`SolveCache`]
-//! the worker attached), report the portable rows back. The dispatcher
-//! cannot tell local and remote pullers apart — which is the point of
-//! the seam.
+//! An `spp work` process runs the engine's pull loop
+//! ([`pull_work`](spp_engine::pull_work)) over a `RemoteLease`: lease a
+//! chunk of instance files, execute its cells with the same
+//! [`execute_lease`](spp_engine::execute_lease) an in-process
+//! `run_sharded` shard runs (through whatever [`SolveCache`] the worker
+//! attached), report the portable rows back. The dispatcher cannot tell
+//! one puller from another — which is the point of the seam.
 //!
 //! Trust and failure model:
 //!
@@ -131,9 +131,6 @@ impl WorkSource for RemoteLease {
         let body = self.expect_200("/work/status", response)?;
         status_parse(&body)
     }
-
-    // abort(): default no-op — a remote worker's failure is local to it;
-    // the dispatcher requeues its lease at the deadline.
 }
 
 #[cfg(test)]

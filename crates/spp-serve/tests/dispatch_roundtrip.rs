@@ -51,7 +51,7 @@ fn pull_remote(url: &str) {
             .collect();
         execute_lease(lease, &solvers, None)
     };
-    pull_work(&source, &execute, None, Duration::from_millis(20)).unwrap();
+    pull_work(&source, &execute, Duration::from_millis(20)).unwrap();
 }
 
 #[test]
@@ -59,7 +59,7 @@ fn remote_pullers_reproduce_the_local_run_byte_for_byte() {
     let suite = tmp("equiv");
     spp_gen::suite::write_suite(&suite, 23, 10, 9).unwrap();
 
-    // Reference: the in-process pull-based driver over the same files.
+    // Reference: the in-process sharded driver over the same files.
     let reference = run_sharded(
         &ShardPlan::from_dir(&suite, 3).unwrap(),
         &solvers(&ALGOS),
@@ -211,7 +211,7 @@ fn dispatcher_and_cache_roles_compose_in_one_server() {
             .collect();
         execute_lease(lease, &solvers, Some(&cache))
     };
-    pull_work(&source, &execute, None, Duration::from_millis(20)).unwrap();
+    pull_work(&source, &execute, Duration::from_millis(20)).unwrap();
 
     assert!(source.progress().unwrap().done);
     let merged = source.fetch_report().unwrap();

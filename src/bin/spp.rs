@@ -584,14 +584,16 @@ fn cmd_batch_files(args: &[String]) -> ExitCode {
         &["--out"],
         "without --shard-index (only a single-shard run emits a report file)",
     );
-    // Stream per-shard aggregates to stderr as they complete (stdout
-    // stays deterministic for diffing).
+    // Stream per-shard aggregates to stderr, in shard order, as each
+    // finishes (stdout stays deterministic for diffing).
     let observer = |lease: &WorkLease, cells: &[CellRow], runtime: &ShardRuntime| {
         let solved = cells
             .iter()
             .filter(|c| c.status == CellStatus::Solved)
             .count();
-        let origin = if runtime.fully_cached(cells.len()) {
+        let origin = if cells.is_empty() {
+            "empty"
+        } else if runtime.fully_cached(cells.len()) {
             "resumed"
         } else {
             "computed"
@@ -856,7 +858,7 @@ fn cmd_work(args: &[String]) -> ExitCode {
     let totals = std::sync::Mutex::new(work::PullStats::default());
     let first_error: std::sync::Mutex<Option<WorkError>> = std::sync::Mutex::new(None);
     spp_par_run(pullers.max(1), || {
-        match work::pull_work(&source, &execute, None, poll) {
+        match work::pull_work(&source, &execute, poll) {
             Ok(stats) => {
                 let mut t = totals.lock().unwrap();
                 t.leases += stats.leases;
@@ -864,10 +866,7 @@ fn cmd_work(args: &[String]) -> ExitCode {
                 t.waits += stats.waits;
             }
             Err(e) => {
-                let mut slot = first_error.lock().unwrap();
-                if slot.is_none() && e != WorkError::Aborted {
-                    *slot = Some(e);
-                }
+                first_error.lock().unwrap().get_or_insert(e);
             }
         }
     });

@@ -387,6 +387,50 @@ fn sharded_batch_merge_is_byte_identical_to_single_process() {
     assert_eq!(uncached.stdout, second.stdout);
 }
 
+/// Progress lines name what each shard did: over-splitting leaves empty
+/// shards, which a warm rerun must label `(empty)`, not `computed` — the
+/// run invoked no solver.
+#[test]
+fn warm_rerun_labels_empty_shards_empty() {
+    let dir = std::env::temp_dir().join("spp_cli_test_empty_shards");
+    let _ = std::fs::remove_dir_all(&dir);
+    let suite_dir = dir.join("two");
+    let cache_dir = dir.join("cache");
+    let suite = spp()
+        .args(["suite", "--out-dir", suite_dir.to_str().unwrap()])
+        .args(["--count", "2", "-n", "8", "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(suite.status.success());
+    assert_eq!(std::fs::read_dir(&suite_dir).unwrap().count(), 2);
+    let run = || {
+        let out = spp()
+            .args(["batch", "--input-dir", suite_dir.to_str().unwrap()])
+            .args(["--algos", "nfdh", "--shards", "5"])
+            .args(["--cache-dir", cache_dir.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        String::from_utf8(out.stderr).unwrap()
+    };
+    // 2 files over 5 shards: shards 2 and 4 hold one file each.
+    let cold = run();
+    assert_eq!(cold.matches("(empty)").count(), 3, "{cold}");
+    assert_eq!(cold.matches("(computed)").count(), 2, "{cold}");
+    let warm = run();
+    assert!(warm.contains("cache: 2 hits, 0 misses"), "{warm}");
+    assert!(
+        warm.contains("shard 2/5: 1 cells, 1 solved (resumed)"),
+        "{warm}"
+    );
+    assert!(
+        warm.contains("shard 4/5: 1 cells, 1 solved (resumed)"),
+        "{warm}"
+    );
+    assert_eq!(warm.matches("(empty)").count(), 3, "{warm}");
+    assert!(!warm.contains("computed"), "{warm}");
+}
+
 /// The cache subcommands end to end: a cached batch populates the
 /// directory, `stats` describes it, `verify` re-solves a sample cleanly,
 /// corruption is caught by `verify`'s full sweep, and `gc` removes the
