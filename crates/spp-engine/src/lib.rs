@@ -28,7 +28,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`request`] | [`SolveRequest`], [`SolveConfig`] |
+//! | [`request`] | [`SolveRequest`], [`SolveConfig`] and its one parameter parser |
 //! | [`report`] | [`SolveReport`], [`LowerBounds`], [`Validation`] |
 //! | [`solver`] | the [`Solver`] trait, [`Capabilities`], [`EngineError`] |
 //! | [`solvers`] | built-in implementations wrapping the algorithm crates |
@@ -53,7 +53,7 @@ pub use batch::{classify_outcome, execute_cells, BatchJob, CellOutcome, CellStat
 pub use cache::{CacheError, CacheKey, CacheStats, CachedCell, DiskCache, MemoryCache, SolveCache};
 pub use registry::{AdvertisedBound, Registry, RegistryEntry};
 pub use report::{Constraint, LowerBounds, SolveReport, Validation};
-pub use request::{SolveConfig, SolveRequest};
+pub use request::{ParamError, SolveConfig, SolveRequest};
 pub use sharding::{
     merge_reports, run_shard, run_sharded, CellRow, MergedReport, ShardPlan, ShardReport,
     ShardRuntime, SolverSummary,

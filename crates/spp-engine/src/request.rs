@@ -51,7 +51,98 @@ pub struct SolveConfig {
     pub improve_workers: u64,
 }
 
+/// A rejected solve parameter: the parameter's name plus the
+/// human-readable reason. `/solve` replies carry `param` next to the
+/// message, so a client can tell a typo'd knob (`budget-ms` for
+/// `budget_ms`) from a bad value without parsing prose.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParamError {
+    pub param: String,
+    pub message: String,
+}
+
+impl ParamError {
+    pub fn new(param: &str, message: impl Into<String>) -> ParamError {
+        ParamError {
+            param: param.to_string(),
+            message: message.into(),
+        }
+    }
+}
+
 impl SolveConfig {
+    /// The parameters [`SolveConfig::set`] accepts: `/solve`'s query
+    /// names and, dashed, the CLI's solve flags. Not `improve_workers`:
+    /// it is no part of a result's identity, so no remote client sets it.
+    pub const PARAMS: [&'static str; 8] = [
+        "epsilon",
+        "k",
+        "shelf_r",
+        "strict",
+        "budget_ms",
+        "improve_seed",
+        "improve_streams",
+        "improve_envelope",
+    ];
+
+    /// Parse `value` into the parameter `name`. Only the syntax is
+    /// checked here; [`SolveConfig::check`] checks the ranges once every
+    /// parameter is set.
+    pub fn set(&mut self, name: &str, value: &str) -> Result<(), ParamError> {
+        let want = match name {
+            "budget_ms" => " (want a whole number of milliseconds)",
+            "improve_seed" => " (want an unsigned integer)",
+            "improve_streams" => " (want a positive stream count)",
+            "improve_envelope" => " (want true or false)",
+            _ => "",
+        };
+        let bad = || ParamError::new(name, format!("bad {name} {value:?}{want}"));
+        match name {
+            "epsilon" => self.epsilon = value.parse().map_err(|_| bad())?,
+            "k" => self.k = value.parse().map_err(|_| bad())?,
+            "shelf_r" => self.shelf_r = value.parse().map_err(|_| bad())?,
+            "strict" => self.strict = value.parse().map_err(|_| bad())?,
+            "budget_ms" => self.budget_ms = value.parse().map_err(|_| bad())?,
+            "improve_seed" => self.improve_seed = value.parse().map_err(|_| bad())?,
+            "improve_streams" => self.improve_streams = value.parse().map_err(|_| bad())?,
+            "improve_envelope" => self.improve_envelope = value.parse().map_err(|_| bad())?,
+            _ => {
+                let message = format!("unknown query parameter {name:?}");
+                return Err(ParamError::new(name, message));
+            }
+        }
+        Ok(())
+    }
+
+    /// The domain every solver may assume: APTAS needs a finite `ε > 0`
+    /// and `K ≥ 1`, the online shelf `r ∈ (0, 1)`, the portfolio at least
+    /// one stream. Out-of-range input is a [`ParamError`], never a solver
+    /// panic.
+    pub fn check(&self) -> Result<(), ParamError> {
+        if !self.epsilon.is_finite() || self.epsilon <= 0.0 {
+            return Err(ParamError::new(
+                "epsilon",
+                format!("epsilon must be positive, got {}", self.epsilon),
+            ));
+        }
+        if self.k < 1 {
+            return Err(ParamError::new("k", "k must be at least 1"));
+        }
+        if !self.shelf_r.is_finite() || self.shelf_r <= 0.0 || self.shelf_r >= 1.0 {
+            return Err(ParamError::new(
+                "shelf_r",
+                format!("shelf_r must be in (0, 1), got {}", self.shelf_r),
+            ));
+        }
+        if self.improve_streams < 1 {
+            return Err(ParamError::new(
+                "improve_streams",
+                "improve_streams must be at least 1",
+            ));
+        }
+        Ok(())
+    }
+
     /// Deterministic signature of every knob that can change a solver's
     /// output, with floats in `{:.17e}` so equal signatures mean
     /// bit-equal configs. Shard reports store it (merge refuses a report
@@ -196,6 +287,99 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(base.signature(), threaded.signature());
+    }
+
+    #[test]
+    fn set_parses_each_param_and_names_a_bad_one() {
+        let values = [
+            ("epsilon", "0.25"),
+            ("k", "16"),
+            ("shelf_r", "0.5"),
+            ("strict", "true"),
+            ("budget_ms", "250"),
+            ("improve_seed", "7"),
+            ("improve_streams", "4"),
+            ("improve_envelope", "true"),
+        ];
+        assert_eq!(values.map(|(name, _)| name), SolveConfig::PARAMS);
+        let mut config = SolveConfig::default();
+        for (name, value) in values {
+            config.set(name, value).unwrap();
+        }
+        let expected = SolveConfig {
+            epsilon: 0.25,
+            k: 16,
+            shelf_r: 0.5,
+            strict: true,
+            budget_ms: 250,
+            improve_seed: 7,
+            improve_streams: 4,
+            improve_envelope: true,
+            ..SolveConfig::default()
+        };
+        assert_eq!(config, expected);
+
+        for (name, value, message) in [
+            (
+                "budget_ms",
+                "abc",
+                "bad budget_ms \"abc\" (want a whole number of milliseconds)",
+            ),
+            (
+                "budget_ms",
+                "-5",
+                "bad budget_ms \"-5\" (want a whole number of milliseconds)",
+            ),
+            ("k", "x", "bad k \"x\""),
+            ("strict", "yes", "bad strict \"yes\""),
+            (
+                "improve_streams",
+                "-2",
+                "bad improve_streams \"-2\" (want a positive stream count)",
+            ),
+            (
+                "improve_workers",
+                "2",
+                "unknown query parameter \"improve_workers\"",
+            ),
+            ("budget-ms", "5", "unknown query parameter \"budget-ms\""),
+        ] {
+            assert_eq!(
+                config.set(name, value),
+                Err(ParamError::new(name, message)),
+                "{name}={value}"
+            );
+        }
+        assert_eq!(config, expected, "a rejected value changes nothing");
+    }
+
+    #[test]
+    fn check_refuses_values_outside_every_solver_domain() {
+        assert_eq!(SolveConfig::default().check(), Ok(()));
+        for (name, value) in [
+            ("epsilon", "0"),
+            ("epsilon", "-1"),
+            ("epsilon", "nan"),
+            ("epsilon", "inf"),
+            ("k", "0"),
+            ("shelf_r", "0"),
+            ("shelf_r", "1"),
+            ("shelf_r", "NaN"),
+            ("improve_streams", "0"),
+        ] {
+            let mut config = SolveConfig::default();
+            config.set(name, value).unwrap();
+            assert_eq!(
+                config.check().map_err(|e| e.param),
+                Err(name.to_string()),
+                "{name}={value}"
+            );
+        }
+        // The APTAS's cost bound is the solver's to judge, not the
+        // parameter domain's: a tiny but positive ε passes.
+        let mut config = SolveConfig::default();
+        config.set("epsilon", "1e-9").unwrap();
+        assert_eq!(config.check(), Ok(()));
     }
 
     #[test]

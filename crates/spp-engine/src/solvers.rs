@@ -366,16 +366,26 @@ impl Solver for AptasSolver {
 
     fn check(&self, req: &SolveRequest) -> Result<(), EngineError> {
         let cfg = &req.config;
-        if cfg.epsilon <= 0.0 {
+        if !cfg.epsilon.is_finite() || cfg.epsilon <= 0.0 {
             return Err(EngineError::Unsupported {
                 solver: "aptas".into(),
-                reason: format!("epsilon = {} must be positive", cfg.epsilon),
+                reason: format!("epsilon = {} must be finite and positive", cfg.epsilon),
             });
         }
         if cfg.k == 0 {
             return Err(EngineError::Unsupported {
                 solver: "aptas".into(),
                 reason: "K must be at least 1".into(),
+            });
+        }
+        // The pipeline walks ⌈3/ε⌉·K width groups per release class
+        // whatever n is, ~1 ns each: cap it at ~0.1 s so no (ε, K) pins a
+        // worker. In f64, since `AptasConfig::groups_per_class` can overflow.
+        let groups = (3.0 / cfg.epsilon).ceil() * cfg.k as f64;
+        if groups > 1e8 {
+            return Err(EngineError::Unsupported {
+                solver: "aptas".into(),
+                reason: format!("⌈3/ε⌉·K = {groups:.0} width groups per class (at most 10^8)"),
             });
         }
         let min_w = 1.0 / cfg.k as f64;
@@ -442,6 +452,33 @@ mod tests {
         let inst = Instance::from_dims(&[(0.5, 2.0)]).unwrap();
         let err = solve(&AptasSolver, &SolveRequest::unconstrained(inst)).unwrap_err();
         assert!(matches!(err, EngineError::Unsupported { .. }));
+    }
+
+    #[test]
+    fn aptas_refuses_parameters_it_cannot_run_in_bounded_time() {
+        // NaN and ∞ used to panic inside spp-release; ε = 1e-9 walked
+        // 2.4·10¹⁰ width groups, and K = 10¹² overflows the usize count.
+        let inst = Instance::from_dims(&[(0.5, 1.0), (0.5, 0.55), (0.5, 0.5)]).unwrap();
+        let base = SolveRequest::unconstrained(inst);
+        for (epsilon, k) in [
+            (f64::NAN, 8),
+            (f64::INFINITY, 8),
+            (1e-9, 8),
+            (1.0, 1_000_000_000_000),
+        ] {
+            let mut req = base.clone();
+            req.config.epsilon = epsilon;
+            req.config.k = k;
+            let err = solve(&AptasSolver, &req).unwrap_err();
+            assert!(
+                matches!(err, EngineError::Unsupported { .. }),
+                "epsilon={epsilon} k={k}: {err}"
+            );
+        }
+        // The bound leaves the paper's useful range alone.
+        let mut req = base;
+        req.config.epsilon = 0.01;
+        assert!(solve(&AptasSolver, &req).unwrap().validation.passed());
     }
 
     #[test]

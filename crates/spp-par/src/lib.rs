@@ -9,8 +9,8 @@
 //!   worker threads (used by the experiment harness and the engine's batch
 //!   executor to sweep instances);
 //! * [`run_workers`] — a fixed-size pool of long-lived workers (used by
-//!   the `spp-serve` HTTP front end's accept loop, the anytime portfolio
-//!   search's streams and `spp work --workers` pullers);
+//!   the `spp-serve` HTTP front end's accept loop and the anytime
+//!   portfolio search's streams);
 //! * [`retry`] — bounded retry with a fixed inter-attempt delay, for
 //!   transient faults at process seams (HTTP cache round trips, work
 //!   dispatcher calls).

@@ -90,7 +90,7 @@ use spp_core::json;
 use spp_engine::cache::{entry_parse, write_entry_atomic};
 use spp_engine::work::{complete_parse, grant_to_json, status_to_json};
 use spp_engine::{
-    execute_cells, BatchJob, CacheStats, DiskCache, Registry, SolveCache, SolveConfig,
+    execute_cells, BatchJob, CacheStats, DiskCache, ParamError, Registry, SolveCache, SolveConfig,
     SolveRequest, WorkQueue,
 };
 
@@ -1358,41 +1358,27 @@ fn cache_put(name: &str, body: &str, state: &State) -> Reply {
     }
 }
 
-/// A rejected `/solve` query string: the offending parameter plus the
-/// human-readable reason. The reply carries a machine-readable `param`
-/// field next to `error`, so a client can tell a typo'd knob
-/// (`budget-ms` for `budget_ms`) from a bad value without parsing prose.
-struct ParamError {
-    param: String,
-    message: String,
+/// The 400 reply to a rejected `/solve` parameter: `param` names it next
+/// to the human-readable `error`.
+fn param_reply(e: &ParamError) -> Reply {
+    Reply::json(
+        400,
+        format!(
+            "{{\n  \"format\": \"{ERROR_FORMAT}\",\n  \"status\": 400,\n  \
+             \"param\": \"{}\",\n  \"error\": \"{}\"\n}}\n",
+            json::escape(&e.param),
+            json::escape(&e.message)
+        ),
+    )
 }
 
-impl ParamError {
-    fn new(param: &str, message: impl Into<String>) -> ParamError {
-        ParamError {
-            param: param.to_string(),
-            message: message.into(),
-        }
-    }
-
-    fn reply(&self) -> Reply {
-        Reply::json(
-            400,
-            format!(
-                "{{\n  \"format\": \"{ERROR_FORMAT}\",\n  \"status\": 400,\n  \
-                 \"param\": \"{}\",\n  \"error\": \"{}\"\n}}\n",
-                json::escape(&self.param),
-                json::escape(&self.message)
-            ),
-        )
-    }
-}
-
-/// Parse `/solve` query params into a solver name + [`SolveConfig`].
-/// Unknown keys are rejected by name (the same strictness as the
-/// instance-file schema: a typo'd knob must not silently run defaults),
-/// and so are repeated keys — last-one-wins would make
-/// `budget_ms=0&budget_ms=5000` mean whatever the client least expects.
+/// Parse `/solve` query params into a solver name + [`SolveConfig`],
+/// through the same [`SolveConfig::set`]/[`SolveConfig::check`] as the
+/// CLI's solve flags. Unknown keys are rejected by name (the same
+/// strictness as the instance-file schema: a typo'd knob must not
+/// silently run defaults), and so are repeated keys — last-one-wins would
+/// make `budget_ms=0&budget_ms=5000` mean whatever the client least
+/// expects. The server's caps come after the solvers' domain.
 fn solve_params(
     request: &Request,
     max_budget_ms: u64,
@@ -1409,69 +1395,13 @@ fn solve_params(
             ));
         }
         seen.push(k.to_string());
-        let bad = |msg: String| ParamError::new(k, msg);
-        match k {
-            "solver" => solver = Some(v.to_string()),
-            "epsilon" => {
-                config.epsilon = v.parse().map_err(|_| bad(format!("bad epsilon {v:?}")))?;
-            }
-            "k" => config.k = v.parse().map_err(|_| bad(format!("bad k {v:?}")))?,
-            "shelf_r" => {
-                config.shelf_r = v.parse().map_err(|_| bad(format!("bad shelf_r {v:?}")))?;
-            }
-            "strict" => {
-                config.strict = v.parse().map_err(|_| bad(format!("bad strict {v:?}")))?;
-            }
-            "budget_ms" => {
-                config.budget_ms = v.parse().map_err(|_| {
-                    bad(format!(
-                        "bad budget_ms {v:?} (want a whole number of milliseconds)"
-                    ))
-                })?;
-            }
-            "improve_seed" => {
-                config.improve_seed = v.parse().map_err(|_| {
-                    bad(format!("bad improve_seed {v:?} (want an unsigned integer)"))
-                })?;
-            }
-            "improve_streams" => {
-                config.improve_streams = v.parse().map_err(|_| {
-                    bad(format!(
-                        "bad improve_streams {v:?} (want a positive stream count)"
-                    ))
-                })?;
-            }
-            "improve_envelope" => {
-                config.improve_envelope = v
-                    .parse()
-                    .map_err(|_| bad(format!("bad improve_envelope {v:?} (want true or false)")))?;
-            }
-            other => {
-                return Err(ParamError::new(
-                    other,
-                    format!("unknown query parameter {other:?}"),
-                ));
-            }
+        if k == "solver" {
+            solver = Some(v.to_string());
+        } else {
+            config.set(k, v)?;
         }
     }
-    // Domain checks mirror the solver-side assertions (APTAS requires
-    // ε > 0 and K ≥ 1, the online shelf requires r ∈ (0,1)) — a remote
-    // request must become a 400, never a worker panic.
-    if !config.epsilon.is_finite() || config.epsilon <= 0.0 {
-        return Err(ParamError::new(
-            "epsilon",
-            format!("epsilon must be positive, got {}", config.epsilon),
-        ));
-    }
-    if config.k < 1 {
-        return Err(ParamError::new("k", "k must be at least 1"));
-    }
-    if !config.shelf_r.is_finite() || config.shelf_r <= 0.0 || config.shelf_r >= 1.0 {
-        return Err(ParamError::new(
-            "shelf_r",
-            format!("shelf_r must be in (0, 1), got {}", config.shelf_r),
-        ));
-    }
+    config.check()?;
     if config.budget_ms > max_budget_ms {
         return Err(ParamError::new(
             "budget_ms",
@@ -1479,12 +1409,6 @@ fn solve_params(
                 "budget_ms {} exceeds this server's cap of {max_budget_ms} ms",
                 config.budget_ms
             ),
-        ));
-    }
-    if config.improve_streams < 1 {
-        return Err(ParamError::new(
-            "improve_streams",
-            "improve_streams must be at least 1",
         ));
     }
     if config.improve_streams > max_improve_streams {
@@ -1510,7 +1434,7 @@ fn solve(request: &Request, state: &State) -> Reply {
     let (solver_name, config) =
         match solve_params(request, state.max_budget_ms, state.max_improve_streams) {
             Ok(p) => p,
-            Err(e) => return e.reply(),
+            Err(e) => return param_reply(&e),
         };
     let solver = match state.registry.get_or_err(&solver_name) {
         Ok(s) => s,

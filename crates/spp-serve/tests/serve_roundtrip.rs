@@ -219,6 +219,19 @@ fn solve_endpoint_solves_then_serves_from_cache() {
     assert_eq!(counters.solve_cache_hits, 1);
     assert!(counters.errors >= 9);
 
+    // ε = 1e-9 is in /solve's domain, but its ⌈3/ε⌉·K width groups would
+    // hold this worker for minutes: the solver refuses it up front, well
+    // inside the client's read timeout.
+    let r = roundtrip(
+        &authority,
+        "POST",
+        "/solve?solver=aptas&epsilon=1e-9",
+        &body,
+    )
+    .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert!(r.body.contains("\"status\": \"unsupported\""), "{}", r.body);
+
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

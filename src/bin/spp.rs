@@ -19,6 +19,12 @@
 //! spp algos
 //! ```
 //!
+//! Flags: [`USAGE`] is the only flag table. Each command accepts exactly
+//! the flags of its usage entry (a silently ignored flag would run
+//! something other than what was asked for). The solve flags are
+//! `/solve`'s query parameters with dashes, parsed by the same
+//! `SolveConfig::set`/`check`; only `--improve-workers` is CLI-only.
+//!
 //! Algorithms are resolved through the engine registry
 //! (`strip_packing::engine::Registry`), so `spp algos` and every error
 //! message list exactly the solvers that exist — nothing is hard-coded in
@@ -63,21 +69,182 @@ use strip_packing::engine::{
 use strip_packing::gen::rects::DagFamily;
 use strip_packing::serve::{HttpCache, IoMode, RemoteLease, ServeConfig, Server, ShardedCache};
 
+/// Every command's flags. An entry is a `  spp <command>` line plus its
+/// deeper-indented continuation lines; a `<placeholder>` after a flag
+/// makes it a value flag, and one after no flag is the command's operand.
+const USAGE: &str = "\
+usage:
+  spp gen --family <name> [-n <count>] [--seed <u64>] [--uniform-height]
+          [--format <spp|json>]
+  spp suite --out-dir <dir> [--count <n>] [-n <size>] [--seed <u64>]
+  spp pack|solve <file|-> [--algo <name>] [--render <none|ascii|svg>]
+          [--epsilon <f64>] [-k <usize>] [--shelf-r <f64>] [--strict]
+          [--budget-ms <ms>] [--improve-seed <u64>]
+          [--improve-streams <k>] [--improve-workers <n>] [--improve-envelope]
+  spp bounds <file|->
+  spp batch [--families <f1,f2,..>] [--count <per-family>] [-n <size>]
+          [--seed <u64>] [--algos <a1,a2,..>]
+          [--epsilon <f64>] [-k <usize>] [--shelf-r <f64>] [--strict]
+          [--budget-ms <ms>] [--improve-seed <u64>]
+          [--improve-streams <k>] [--improve-workers <n>] [--improve-envelope]
+  spp batch (--input-dir <dir> | --file-list <file>) [--algos <a1,a2,..>]
+          [--shards <n>] [--shard-index <i>] [--out <file>]
+          [--cache-dir <dir> | --cache-url <url> | --cache-urls <u1,u2,..>]
+          [--replication <r>] [--token-file <file>] [--cache-readonly] [--cells]
+          [--epsilon <f64>] [-k <usize>] [--shelf-r <f64>] [--strict]
+          [--budget-ms <ms>] [--improve-seed <u64>]
+          [--improve-streams <k>] [--improve-workers <n>] [--improve-envelope]
+  spp batch --merge <report1,report2,..> [--cells]
+  spp batch --dispatcher-url <http://host:port> [--token-file <file>] [--cells]
+  spp cache stats --cache-dir <dir>
+  spp cache gc --cache-dir <dir> [--max-age <secs>]
+  spp cache verify --cache-dir <dir> (--input-dir <dir> | --file-list <file>)
+          [--algos <a1,a2,..>] [--sample <n>]
+          [--epsilon <f64>] [-k <usize>] [--shelf-r <f64>] [--strict]
+          [--budget-ms <ms>] [--improve-seed <u64>]
+          [--improve-streams <k>] [--improve-workers <n>] [--improve-envelope]
+  spp serve --cache-dir <dir> [--addr <host:port>] [--workers <n>]
+          [--max-body <bytes>] [--max-budget-ms <ms>]
+          [--max-improve-streams <k>] [--cache-readonly]
+          [--token-file <file>]
+          [--keepalive-requests <n>] [--idle-timeout-ms <ms>]
+          [--io-mode <auto|blocking|event>]
+  spp dispatch (--input-dir <dir> | --file-list <file>) [--algos <a1,a2,..>]
+          [--addr <host:port>] [--lease-files <n>] [--lease-timeout <secs>]
+          [--cache-dir <dir>] [--cache-readonly] [--workers <n>]
+          [--max-body <bytes>] [--token-file <file>]
+          [--keepalive-requests <n>] [--idle-timeout-ms <ms>]
+          [--io-mode <auto|blocking|event>]
+          [--epsilon <f64>] [-k <usize>] [--shelf-r <f64>] [--strict]
+          [--budget-ms <ms>] [--improve-seed <u64>]
+          [--improve-streams <k>] [--improve-workers <n>] [--improve-envelope]
+  spp work --dispatcher-url <http://host:port>
+          [--cache-dir <dir> | --cache-url <url> | --cache-urls <u1,u2,..>]
+          [--replication <r>] [--token-file <file>] [--cache-readonly]
+          [--poll-ms <ms>] [--abandon-after <n>]
+  spp bench serve [--url <http://host:port>] [--clients <n>]
+          [--mode <keepalive|close|both>] [--workload <cache-hit|solve>]
+          [--duration-ms <ms> | --requests <n>] [--rate <rps>]
+          [--workers <n>] [--out <file>] [--io-mode <auto|blocking|event>]
+          [--idle-clients <n>]
+  spp algos
+
+run `spp algos` for the algorithm registry with capability flags";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  spp gen --family <name> [-n <count>] [--seed <u64>] [--uniform-height]\n          [--format <spp|json>]\n  spp suite --out-dir <dir> [--count <n>] [-n <size>] [--seed <u64>]\n  spp pack|solve <file|-> [--algo <name>] [--render <none|ascii|svg>]\n          [--epsilon <f64>] [-k <usize>] [--shelf-r <f64>] [--strict]\n          [--budget-ms <ms>] [--improve-seed <u64>]\n          [--improve-streams <k>] [--improve-workers <n>] [--improve-envelope]\n  spp bounds <file|->\n  spp batch [--families <f1,f2,..>] [--count <per-family>] [-n <size>]\n          [--seed <u64>] [--algos <a1,a2,..>]\n          [--budget-ms <ms>] [--improve-seed <u64>]\n          [--improve-streams <k>] [--improve-workers <n>] [--improve-envelope]\n  spp batch (--input-dir <dir> | --file-list <file>) [--algos <a1,a2,..>]\n          [--shards <n>] [--shard-index <i>] [--out <file>]\n          [--cache-dir <dir> | --cache-url <url> | --cache-urls <u1,u2,..>]\n          [--replication <r>] [--token-file <file>] [--cache-readonly] [--cells]\n  spp batch --merge <report1,report2,..> [--cells]\n  spp batch --dispatcher-url <http://host:port> [--token-file <file>] [--cells]\n  spp cache stats --cache-dir <dir>\n  spp cache gc --cache-dir <dir> [--max-age <secs>]\n  spp cache verify --cache-dir <dir> (--input-dir <dir> | --file-list <file>)\n          [--algos <a1,a2,..>] [--sample <n>]\n  spp serve --cache-dir <dir> [--addr <host:port>] [--workers <n>]\n          [--max-body <bytes>] [--max-budget-ms <ms>]\n          [--max-improve-streams <k>] [--cache-readonly]\n          [--token-file <file>]\n          [--keepalive-requests <n>] [--idle-timeout-ms <ms>]\n          [--io-mode <auto|blocking|event>]\n  spp dispatch (--input-dir <dir> | --file-list <file>) [--algos <a1,a2,..>]\n          [--addr <host:port>] [--lease-files <n>] [--lease-timeout <secs>]\n          [--cache-dir <dir>] [--workers <n>] [--max-body <bytes>]\n          [--token-file <file>] [--keepalive-requests <n>] [--idle-timeout-ms <ms>]\n          [--io-mode <auto|blocking|event>]\n  spp work --dispatcher-url <http://host:port>\n          [--cache-dir <dir> | --cache-url <url> | --cache-urls <u1,u2,..>]\n          [--replication <r>] [--token-file <file>]\n          [--workers <n>] [--poll-ms <ms>] [--abandon-after <n>]\n  spp bench serve [--url <http://host:port>] [--clients <n>]\n          [--mode <keepalive|close|both>] [--workload <cache-hit|solve>]\n          [--duration-ms <ms> | --requests <n>] [--rate <rps>]\n          [--workers <n>] [--out <file>] [--io-mode <auto|blocking|event>]\n          [--idle-clients <n>]\n  spp algos\n\nrun `spp algos` for the algorithm registry with capability flags"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// A usage word without its grouping: `[--cells]` → `--cells`.
+fn bare(word: &str) -> &str {
+    word.trim_matches(['[', ']', '(', ')'])
 }
 
-fn parse_or_usage<T: std::str::FromStr>(v: String) -> T {
-    v.parse().unwrap_or_else(|_| usage())
+/// One command line, parsed against its usage entry: each given flag,
+/// spelled as in [`USAGE`], with its verbatim value (`"true"` for a
+/// switch); the operand is keyed by its placeholder (`<file|->`).
+struct Args {
+    entry: &'static str,
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Parse `argv` against the usage entry that starts with `entry`
+    /// (`"gen"`, `"cache verify"`, `"batch --merge"`, …). Flags may come
+    /// before the operand. Exits 2 on a flag the entry does not list, a
+    /// flag given twice, a value flag with no value, or an extra operand.
+    fn parse(argv: &[String], entry: &str) -> Args {
+        Args::parse_mode(argv, entry, &format!("to spp {entry}"))
+    }
+
+    /// [`Args::parse`], refusing a flag that another command or mode
+    /// takes with "`<flag>` does not apply `<mode>`".
+    fn parse_mode(argv: &[String], entry: &str, mode: &str) -> Args {
+        let start = USAGE
+            .find(&format!("\n  spp {entry}"))
+            .expect("every command parses against an entry of USAGE")
+            + 1;
+        let end = USAGE[start..]
+            .match_indices('\n')
+            .map(|(i, _)| start + i)
+            .find(|&i| !USAGE[i + 1..].starts_with("          "))
+            .unwrap_or(USAGE.len());
+        let mut args = Args {
+            entry: &USAGE[start..end],
+            flags: Vec::new(),
+        };
+        let words: Vec<&'static str> = args.entry.split_whitespace().map(bare).collect();
+        let operand = (1..words.len())
+            .find(|&i| words[i].starts_with('<') && !words[i - 1].starts_with('-'))
+            .map(|i| words[i]);
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            let (flag, value) = if !arg.starts_with('-') || arg == "-" {
+                match operand.filter(|op| !args.has(op)) {
+                    Some(op) => (op, arg.clone()),
+                    None => args.fail(format!("unexpected argument {arg:?}")),
+                }
+            } else if let Some(at) = words.iter().position(|w| *w == arg.as_str()) {
+                if args.has(arg) {
+                    args.fail(format!("{arg} given twice"));
+                }
+                let value = match words.get(at + 1).filter(|w| w.starts_with('<')) {
+                    Some(placeholder) => argv
+                        .next()
+                        .unwrap_or_else(|| args.fail(format!("{arg} needs a value {placeholder}")))
+                        .clone(),
+                    None => "true".to_string(),
+                };
+                (words[at], value)
+            } else if USAGE.split_whitespace().any(|w| bare(w) == arg.as_str()) {
+                args.fail(format!("{arg} does not apply {mode}"));
+            } else {
+                args.fail(format!("unknown flag {arg}"));
+            };
+            args.flags.push((flag, value));
+        }
+        args
+    }
+
+    fn fail(&self, message: impl std::fmt::Display) -> ! {
+        eprintln!("error: {message}\nusage:\n{}", self.entry);
+        std::process::exit(2);
+    }
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    /// `flag`'s value as a `T`, if the flag was given; exits 2 on a value
+    /// that does not parse.
+    fn value<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        let v = self.get(flag)?;
+        Some(
+            v.parse()
+                .unwrap_or_else(|_| self.fail(format!("bad {flag} value {v:?}"))),
+        )
+    }
+
+    /// The value of a flag (or operand) the command cannot run without.
+    fn required(&self, flag: &str) -> &str {
+        self.get(flag)
+            .unwrap_or_else(|| self.fail(format!("{flag} is required")))
+    }
+
+    /// Exit 2 if `flag` was given: it does not apply `why`.
+    fn refuse(&self, flag: &str, why: &str) {
+        if self.has(flag) {
+            self.fail(format!("{flag} does not apply {why}"));
+        }
+    }
 }
 
 fn family_by_name(name: &str) -> DagFamily {
@@ -94,44 +261,23 @@ fn family_by_name(name: &str) -> DagFamily {
         })
 }
 
-fn config_from_args(args: &[String]) -> SolveConfig {
+/// The solve flags: each is a `SolveConfig::PARAMS` name with dashes
+/// (`--shelf-r` sets `shelf_r`, `-k` sets `k`; a switch sets `true`),
+/// parsed and range-checked exactly as `/solve` parses its query.
+fn config_from_args(args: &Args) -> SolveConfig {
     let mut config = SolveConfig::default();
-    if let Some(e) = arg_value(args, "--epsilon") {
-        config.epsilon = parse_or_usage(e);
-    }
-    if let Some(k) = arg_value(args, "-k") {
-        config.k = parse_or_usage(k);
-    }
-    if let Some(r) = arg_value(args, "--shelf-r") {
-        config.shelf_r = parse_or_usage(r);
-    }
-    if let Some(b) = arg_value(args, "--budget-ms") {
-        config.budget_ms = parse_or_usage(b);
-    }
-    if let Some(s) = arg_value(args, "--improve-seed") {
-        config.improve_seed = parse_or_usage(s);
-    }
-    if let Some(s) = arg_value(args, "--improve-streams") {
-        config.improve_streams = parse_or_usage(s);
-        if config.improve_streams < 1 {
-            usage();
+    for (flag, value) in &args.flags {
+        let name = flag.trim_start_matches('-').replace('-', "_");
+        if SolveConfig::PARAMS.contains(&name.as_str()) {
+            config
+                .set(&name, value)
+                .unwrap_or_else(|e| args.fail(e.message));
         }
-    } else if config.budget_ms > 0 {
-        // Budgeted solving with no explicit width defaults to the
-        // machine's parallelism (capped): one budget buys every core's
-        // worth of search. Explicit `--improve-streams 1` restores the
-        // single-stream search; the width is part of the result's
-        // identity either way (it's in the config signature).
-        config.improve_streams = std::thread::available_parallelism()
-            .map(|c| c.get() as u64)
-            .unwrap_or(1)
-            .min(8);
     }
-    if let Some(w) = arg_value(args, "--improve-workers") {
-        config.improve_workers = parse_or_usage(w);
-    }
-    config.improve_envelope = args.iter().any(|a| a == "--improve-envelope");
-    config.strict = args.iter().any(|a| a == "--strict");
+    config.check().unwrap_or_else(|e| args.fail(e.message));
+    config.improve_workers = args
+        .value("--improve-workers")
+        .unwrap_or(config.improve_workers);
     config
 }
 
@@ -177,21 +323,20 @@ fn read_instance(path: &str) -> PrecInstance {
     }
 }
 
-fn cmd_gen(args: &[String]) -> ExitCode {
+fn cmd_gen(args: &Args) -> ExitCode {
     use rand::SeedableRng;
-    let family_name = arg_value(args, "--family").unwrap_or_else(|| "layered".into());
-    let n: usize = arg_value(args, "-n").map(parse_or_usage).unwrap_or(30);
-    let seed: u64 = arg_value(args, "--seed").map(parse_or_usage).unwrap_or(1);
-    let family = family_by_name(&family_name);
+    let n: usize = args.value("-n").unwrap_or(30);
+    let seed: u64 = args.value("--seed").unwrap_or(1);
+    let family = family_by_name(args.get("--family").unwrap_or("layered"));
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let inst = if args.iter().any(|a| a == "--uniform-height") {
+    let inst = if args.has("--uniform-height") {
         strip_packing::gen::rects::uniform_height(&mut rng, n, (0.05, 0.95))
     } else {
         strip_packing::gen::rects::uniform(&mut rng, n, (0.05, 0.95), (0.05, 1.0))
     };
     let dag = family.build(&mut rng, n);
     let prec = PrecInstance::new(inst, dag);
-    match arg_value(args, "--format").as_deref() {
+    match args.get("--format") {
         None | Some("spp") => print!("{}", strip_packing::gen::textio::to_text(&prec)),
         Some("json") => print!("{}", strip_packing::gen::fileio::to_json(&prec)),
         Some(other) => {
@@ -205,14 +350,12 @@ fn cmd_gen(args: &[String]) -> ExitCode {
 /// Generate a scenario suite (deep-chain DAGs, bursty releases, skyline
 /// adversaries, …) as `spp-instance` JSON files — the input side of the
 /// sharded batch pipeline.
-fn cmd_suite(args: &[String]) -> ExitCode {
-    let Some(out_dir) = arg_value(args, "--out-dir") else {
-        usage()
-    };
-    let count: usize = arg_value(args, "--count").map(parse_or_usage).unwrap_or(20);
-    let n: usize = arg_value(args, "-n").map(parse_or_usage).unwrap_or(24);
-    let seed: u64 = arg_value(args, "--seed").map(parse_or_usage).unwrap_or(1);
-    match strip_packing::gen::suite::write_suite(Path::new(&out_dir), seed, n, count) {
+fn cmd_suite(args: &Args) -> ExitCode {
+    let out_dir = args.required("--out-dir");
+    let count: usize = args.value("--count").unwrap_or(20);
+    let n: usize = args.value("-n").unwrap_or(24);
+    let seed: u64 = args.value("--seed").unwrap_or(1);
+    match strip_packing::gen::suite::write_suite(Path::new(out_dir), seed, n, count) {
         Ok(paths) => {
             eprintln!("wrote {} instance files to {out_dir}", paths.len());
             ExitCode::SUCCESS
@@ -224,17 +367,17 @@ fn cmd_suite(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_pack(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else { usage() };
-    let prec = read_instance(path);
-    let algo = arg_value(args, "--algo").unwrap_or_else(|| "dc-nfdh".into());
+fn cmd_pack(args: &Args) -> ExitCode {
+    let config = config_from_args(args);
+    let prec = read_instance(args.required("<file|->"));
+    let algo = args.get("--algo").unwrap_or("dc-nfdh");
 
     let registry = Registry::builtin();
-    let solver = match registry.get_or_err(&algo) {
+    let solver = match registry.get_or_err(algo) {
         Ok(s) => s,
         Err(e) => unknown_algo_exit(&registry, &e),
     };
-    let request = SolveRequest::new(prec).with_config(config_from_args(args));
+    let request = SolveRequest::new(prec).with_config(config);
     let report = match strip_packing::engine::solve(solver.as_ref(), &request) {
         Ok(r) => r,
         Err(e) => {
@@ -276,7 +419,7 @@ fn cmd_pack(args: &[String]) -> ExitCode {
             report.improve_gain()
         );
     }
-    match arg_value(args, "--render").as_deref() {
+    match args.get("--render") {
         None | Some("none") => {
             for it in prec.inst.items() {
                 let p = report.placement.pos(it.id);
@@ -308,9 +451,8 @@ fn cmd_pack(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_bounds(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else { usage() };
-    let prec = read_instance(path);
+fn cmd_bounds(args: &Args) -> ExitCode {
+    let prec = read_instance(args.required("<file|->"));
     println!("n            {}", prec.len());
     println!("edges        {}", prec.dag.edge_count());
     println!("AREA         {:.6}", prec.area_lb());
@@ -371,10 +513,8 @@ fn cmd_algos() -> ExitCode {
         "anytime solvers honor --budget-ms <ms> (seeded remove-and-reinsert until the deadline)"
     );
     println!("and --improve-streams <k> (portfolio width: k independent streams per budget, best");
-    println!(
-        "stream wins deterministically; defaults to available parallelism, capped at 8, when a"
-    );
-    println!("budget is set). --improve-workers <n> sets threads (never changes results);");
+    println!("stream wins deterministically; 1 unless given, on every host, as on /solve).");
+    println!("--improve-workers <n> sets threads (never changes results);");
     println!("--improve-envelope shares a best-so-far bound across streams (faster, but");
     println!("results become scheduling-dependent).");
     ExitCode::SUCCESS
@@ -382,15 +522,10 @@ fn cmd_algos() -> ExitCode {
 
 /// Resolve `--algos` against the registry, exiting with the live name
 /// listing on an unknown solver.
-fn solvers_from_args(args: &[String], default: &str) -> Vec<Box<dyn Solver>> {
+fn solvers_from_args(args: &Args, default: &str) -> Vec<Box<dyn Solver>> {
     let registry = Registry::builtin();
-    let algos: Vec<String> = arg_value(args, "--algos")
-        .unwrap_or_else(|| default.into())
-        .split(',')
-        .map(str::to_string)
-        .collect();
     let mut solvers = Vec::new();
-    for name in &algos {
+    for name in args.get("--algos").unwrap_or(default).split(',') {
         match registry.get_or_err(name) {
             Ok(s) => solvers.push(s),
             Err(e) => unknown_algo_exit(&registry, &e),
@@ -414,12 +549,26 @@ fn finish_merged(merged: &MergedReport, cells: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The sorted instance-file list of `--input-dir` or `--file-list`,
+/// split into `shards` contiguous shards.
+fn plan_from_args(args: &Args, shards: usize) -> ShardPlan {
+    let plan = match (args.get("--input-dir"), args.get("--file-list")) {
+        (Some(dir), None) => ShardPlan::from_dir(Path::new(dir), shards),
+        (None, Some(list)) => ShardPlan::from_file_list(Path::new(list), shards),
+        _ => args.fail("give exactly one of --input-dir and --file-list"),
+    };
+    plan.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// Load the shared bearer token named by `--token-file`, if any. Exits
 /// on an unreadable or empty file — a fleet member silently running
 /// without its credential would only discover that as a wall of 401s.
-fn token_from_args(args: &[String]) -> Option<String> {
-    let path = arg_value(args, "--token-file")?;
-    match strip_packing::serve::auth::token_from_file(Path::new(&path)) {
+fn token_from_args(args: &Args) -> Option<String> {
+    let path = args.get("--token-file")?;
+    match strip_packing::serve::auth::token_from_file(Path::new(path)) {
         Ok(token) => Some(token),
         Err(e) => {
             eprintln!("error: {e}");
@@ -435,11 +584,11 @@ fn token_from_args(args: &[String]) -> Option<String> {
 /// them apart. `--token-file` attaches the fleet's bearer token to the
 /// HTTP backends. Exits on an unusable backend — the user asked for
 /// durability and silently running uncached would defeat the point.
-fn cache_from_args(args: &[String]) -> Option<Box<dyn SolveCache>> {
-    let readonly = args.iter().any(|a| a == "--cache-readonly");
-    let dir = arg_value(args, "--cache-dir");
-    let url = arg_value(args, "--cache-url");
-    let urls = arg_value(args, "--cache-urls");
+fn cache_from_args(args: &Args) -> Option<Box<dyn SolveCache>> {
+    let readonly = args.has("--cache-readonly");
+    let dir = args.get("--cache-dir");
+    let url = args.get("--cache-url");
+    let urls = args.get("--cache-urls");
     if [dir.is_some(), url.is_some(), urls.is_some()]
         .iter()
         .filter(|set| **set)
@@ -449,13 +598,13 @@ fn cache_from_args(args: &[String]) -> Option<Box<dyn SolveCache>> {
         eprintln!("error: --cache-dir, --cache-url and --cache-urls are mutually exclusive");
         std::process::exit(2);
     }
-    if urls.is_none() && arg_value(args, "--replication").is_some() {
+    if urls.is_none() && args.has("--replication") {
         eprintln!("error: --replication requires --cache-urls");
         std::process::exit(2);
     }
     if let Some(urls) = urls {
-        let replication: usize = arg_value(args, "--replication")
-            .map(parse_or_usage)
+        let replication: usize = args
+            .value("--replication")
             .unwrap_or(strip_packing::serve::sharded::DEFAULT_REPLICATION);
         let list: Vec<String> = urls
             .split(',')
@@ -475,7 +624,7 @@ fn cache_from_args(args: &[String]) -> Option<Box<dyn SolveCache>> {
         // Construction only validates the URL shape; an unreachable
         // server shows up as all-misses (and failed writes error per
         // cell), matching a cold local cache.
-        match HttpCache::new(&url, readonly) {
+        match HttpCache::new(url, readonly) {
             Ok(c) => return Some(Box::new(c.with_token(token_from_args(args)))),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -494,11 +643,11 @@ fn cache_from_args(args: &[String]) -> Option<Box<dyn SolveCache>> {
     };
     // A read-only cache that does not exist is almost certainly a typo'd
     // path; running "warm" at full solve cost would hide it.
-    if readonly && !Path::new(&dir).is_dir() {
+    if readonly && !Path::new(dir).is_dir() {
         eprintln!("error: --cache-readonly: cache directory {dir} does not exist");
         std::process::exit(1);
     }
-    match DiskCache::new(Path::new(&dir), readonly) {
+    match DiskCache::new(Path::new(dir), readonly) {
         Ok(c) => Some(Box::new(c)),
         Err(e) => {
             eprintln!("error: {e}");
@@ -518,23 +667,8 @@ fn cache_from_args(args: &[String]) -> Option<Box<dyn SolveCache>> {
 /// * without: run all shards in this process, merge, and print the
 ///   canonical table. With a cache, a rerun is a **resume**: every
 ///   already-solved cell is served from disk.
-fn cmd_batch_files(args: &[String]) -> ExitCode {
-    let shards: usize = arg_value(args, "--shards").map(parse_or_usage).unwrap_or(1);
-    let plan = match (
-        arg_value(args, "--input-dir"),
-        arg_value(args, "--file-list"),
-    ) {
-        (Some(dir), None) => ShardPlan::from_dir(Path::new(&dir), shards),
-        (None, Some(list)) => ShardPlan::from_file_list(Path::new(&list), shards),
-        _ => usage(),
-    };
-    let plan = match plan {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_batch_files(args: &Args) -> ExitCode {
+    let plan = plan_from_args(args, args.value("--shards").unwrap_or(1));
     let solvers = solvers_from_args(args, "nfdh,ffdh,greedy,dc-nfdh");
     let config = config_from_args(args);
     let cache = cache_from_args(args);
@@ -545,13 +679,11 @@ fn cmd_batch_files(args: &[String]) -> ExitCode {
         }
     };
 
-    if let Some(index) = arg_value(args, "--shard-index") {
-        reject_flags(
-            args,
-            &["--cells"],
+    if let Some(index) = args.value::<usize>("--shard-index") {
+        args.refuse(
+            "--cells",
             "to a single-shard run (its output is the report JSON; use --cells on the in-process multi-shard or --merge paths)",
         );
-        let index: usize = parse_or_usage(index);
         let report = match run_shard(&plan, index, &solvers, &config, cache_ref) {
             Ok(r) => r,
             Err(e) => {
@@ -567,9 +699,9 @@ fn cmd_batch_files(args: &[String]) -> ExitCode {
         );
         report_cache_use(&cache);
         let json = report.to_json();
-        match arg_value(args, "--out") {
+        match args.get("--out") {
             Some(path) => {
-                if let Err(e) = std::fs::write(&path, json) {
+                if let Err(e) = std::fs::write(path, json) {
                     eprintln!("error: cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -579,9 +711,8 @@ fn cmd_batch_files(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    reject_flags(
-        args,
-        &["--out"],
+    args.refuse(
+        "--out",
         "without --shard-index (only a single-shard run emits a report file)",
     );
     // Stream per-shard aggregates to stderr, in shard order, as each
@@ -622,15 +753,16 @@ fn cmd_batch_files(args: &[String]) -> ExitCode {
         t0.elapsed().as_secs_f64()
     );
     report_cache_use(&cache);
-    finish_merged(&merged, args.iter().any(|a| a == "--cells"))
+    finish_merged(&merged, args.has("--cells"))
 }
 
 /// Merge shard report files (comma-separated) into the canonical table —
 /// byte-identical on stdout to the single-process run over the same
 /// inputs.
-fn cmd_batch_merge(paths_arg: &str, args: &[String]) -> ExitCode {
+fn cmd_batch_merge(args: &Args) -> ExitCode {
     let mut reports = Vec::new();
-    for path in paths_arg.split(',').filter(|p| !p.is_empty()) {
+    let paths = args.required("--merge");
+    for path in paths.split(',').filter(|p| !p.is_empty()) {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -647,7 +779,7 @@ fn cmd_batch_merge(paths_arg: &str, args: &[String]) -> ExitCode {
         }
     }
     match merge_reports(reports) {
-        Ok(merged) => finish_merged(&merged, args.iter().any(|a| a == "--cells")),
+        Ok(merged) => finish_merged(&merged, args.has("--cells")),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -660,8 +792,8 @@ fn cmd_batch_merge(paths_arg: &str, args: &[String]) -> ExitCode {
 /// worker fleet, fetches the merged report, and prints the canonical
 /// table — byte-identical on stdout to a single-process `spp batch` over
 /// the dispatcher's inputs.
-fn cmd_batch_await(url: &str, args: &[String]) -> ExitCode {
-    let remote = match RemoteLease::new(url) {
+fn cmd_batch_await(args: &Args) -> ExitCode {
+    let remote = match RemoteLease::new(args.required("--dispatcher-url")) {
         Ok(r) => r.with_token(token_from_args(args)),
         Err(e) => {
             eprintln!("error: {e}");
@@ -690,7 +822,7 @@ fn cmd_batch_await(url: &str, args: &[String]) -> ExitCode {
         std::thread::sleep(std::time::Duration::from_millis(200));
     }
     match remote.fetch_report() {
-        Ok(merged) => finish_merged(&merged, args.iter().any(|a| a == "--cells")),
+        Ok(merged) => finish_merged(&merged, args.has("--cells")),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -712,29 +844,11 @@ fn cmd_batch_await(url: &str, args: &[String]) -> ExitCode {
 /// stdout line and runs until killed (it keeps answering `/work/status`
 /// and `/work/report` after the batch completes, so late clients can
 /// still collect the result).
-fn cmd_dispatch(args: &[String]) -> ExitCode {
+fn cmd_dispatch(args: &Args) -> ExitCode {
     use std::io::Write as _;
-    let lease_files: usize = arg_value(args, "--lease-files")
-        .map(parse_or_usage)
-        .unwrap_or(1);
-    let lease_timeout: u64 = arg_value(args, "--lease-timeout")
-        .map(parse_or_usage)
-        .unwrap_or(60);
-    let plan = match (
-        arg_value(args, "--input-dir"),
-        arg_value(args, "--file-list"),
-    ) {
-        (Some(dir), None) => ShardPlan::from_dir(Path::new(&dir), 1),
-        (None, Some(list)) => ShardPlan::from_file_list(Path::new(&list), 1),
-        _ => usage(),
-    };
-    let plan = match plan {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let lease_files: usize = args.value("--lease-files").unwrap_or(1);
+    let lease_timeout: u64 = args.value("--lease-timeout").unwrap_or(60);
+    let plan = plan_from_args(args, 1);
     // Resolve solver names up front: a dispatcher advertising an unknown
     // solver would fail every worker later, loudly but wastefully.
     let solvers = solvers_from_args(args, "nfdh,ffdh,greedy,dc-nfdh");
@@ -748,22 +862,11 @@ fn cmd_dispatch(args: &[String]) -> ExitCode {
         Some(std::time::Duration::from_secs(lease_timeout.max(1))),
     );
 
-    let mut serve_config = match arg_value(args, "--cache-dir") {
+    let mut serve_config = match args.get("--cache-dir") {
         Some(dir) => ServeConfig::new(dir),
         None => ServeConfig::without_cache(),
     };
-    if let Some(addr) = arg_value(args, "--addr") {
-        serve_config.addr = addr;
-    }
-    if let Some(w) = arg_value(args, "--workers") {
-        serve_config.workers = parse_or_usage(w);
-    }
-    if let Some(m) = arg_value(args, "--max-body") {
-        serve_config.max_body = parse_or_usage(m);
-    }
-    serve_config.readonly = args.iter().any(|a| a == "--cache-readonly");
-    serve_config.token = token_from_args(args);
-    keepalive_from_args(args, &mut serve_config);
+    listener_from_args(args, &mut serve_config);
     let server = match Server::bind_with_work(&serve_config, Some(queue)) {
         Ok(s) => s,
         Err(e) => {
@@ -801,17 +904,13 @@ fn cmd_dispatch(args: &[String]) -> ExitCode {
 /// done, nonzero on a hard error (the dispatcher requeues this worker's
 /// outstanding lease at its deadline either way).
 ///
-/// `--workers N` runs N concurrent pull loops in this process (each
-/// lease already fans out over cores internally, so the default of 1 is
-/// right unless leases are tiny). `--abandon-after N` is a chaos hook
-/// for testing the requeue path: the process exits 3 *without
-/// completing* its N-th lease — exactly what a worker killed mid-chunk
-/// looks like to the dispatcher.
-fn cmd_work(args: &[String]) -> ExitCode {
-    let Some(url) = arg_value(args, "--dispatcher-url") else {
-        usage()
-    };
-    let source = match RemoteLease::new(&url) {
+/// One pull loop per process: each lease already spreads its cells over
+/// every core. `--abandon-after N` is a chaos hook for testing the
+/// requeue path: the process exits 3 *without completing* its N-th lease
+/// — exactly what a worker killed mid-chunk looks like to the
+/// dispatcher.
+fn cmd_work(args: &Args) -> ExitCode {
+    let source = match RemoteLease::new(args.required("--dispatcher-url")) {
         Ok(s) => s.with_token(token_from_args(args)),
         Err(e) => {
             eprintln!("error: {e}");
@@ -820,15 +919,8 @@ fn cmd_work(args: &[String]) -> ExitCode {
     };
     let cache = cache_from_args(args);
     let cache_ref: Option<&dyn SolveCache> = cache.as_deref();
-    let pullers: usize = arg_value(args, "--workers")
-        .map(parse_or_usage)
-        .unwrap_or(1);
-    let poll = std::time::Duration::from_millis(
-        arg_value(args, "--poll-ms")
-            .map(parse_or_usage)
-            .unwrap_or(200),
-    );
-    let abandon_after: Option<u64> = arg_value(args, "--abandon-after").map(parse_or_usage);
+    let poll = std::time::Duration::from_millis(args.value("--poll-ms").unwrap_or(200));
+    let abandon_after: Option<u64> = args.value("--abandon-after");
 
     let registry = Registry::builtin();
     let leases_taken = std::sync::atomic::AtomicU64::new(0);
@@ -855,154 +947,78 @@ fn cmd_work(args: &[String]) -> ExitCode {
         }
         work::execute_lease(lease, &solvers, cache_ref)
     };
-    let totals = std::sync::Mutex::new(work::PullStats::default());
-    let first_error: std::sync::Mutex<Option<WorkError>> = std::sync::Mutex::new(None);
-    spp_par_run(pullers.max(1), || {
-        match work::pull_work(&source, &execute, poll) {
-            Ok(stats) => {
-                let mut t = totals.lock().unwrap();
-                t.leases += stats.leases;
-                t.cells += stats.cells;
-                t.waits += stats.waits;
-            }
-            Err(e) => {
-                first_error.lock().unwrap().get_or_insert(e);
-            }
+    let stats = match work::pull_work(&source, &execute, poll) {
+        Ok(stats) => stats,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    });
-    if let Some(e) = first_error.into_inner().unwrap() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    let t = totals.into_inner().unwrap();
-    eprintln!("work: {} leases, {} cells", t.leases, t.cells);
+    };
+    eprintln!("work: {} leases, {} cells", stats.leases, stats.cells);
     if let Some(c) = &cache {
         eprintln!("cache: {}", c.stats());
     }
     ExitCode::SUCCESS
 }
 
-/// `run_workers` with a zero-argument closure (the worker index is
-/// irrelevant to a pull loop — the queue is the scheduler).
-fn spp_par_run(workers: usize, f: impl Fn() + Sync) {
-    strip_packing::par::run_workers(workers, |_| f());
-}
-
-/// Batch entry point: dispatch between the in-process generator mode
-/// (`--families`), the instance-file modes (`--input-dir`/`--file-list`,
-/// with optional sharding), and shard-report merging (`--merge`).
-fn cmd_batch(args: &[String]) -> ExitCode {
+/// Batch entry point: pick the mode (dispatcher client, merge, instance
+/// files or generator) and parse against its usage entry. A flag of
+/// another mode is refused, not ignored: e.g. `--shard-index` without
+/// `--input-dir` would run the *whole* generated workload.
+fn cmd_batch(argv: &[String]) -> ExitCode {
     // PR 2's per-shard manifest resume is gone. Error loudly — a script
     // still passing `--manifest` believes its runs are resumable, and
     // silently ignoring the flag would make that belief wrong.
-    if args.iter().any(|a| a == "--manifest") {
+    if argv.iter().any(|a| a == "--manifest") {
         eprintln!(
             "error: --manifest was removed; use --cache-dir <dir> (the content-addressed \
              solve cache resumes at cell granularity and needs no manifest files)"
         );
         return ExitCode::from(2);
     }
-    if let Some(url) = arg_value(args, "--dispatcher-url") {
-        reject_flags(
-            args,
-            &[
-                "--input-dir",
-                "--file-list",
-                "--shards",
-                "--shard-index",
-                "--out",
-                "--merge",
-                "--cache-dir",
-                "--cache-url",
-                "--cache-urls",
-                "--replication",
-                "--cache-readonly",
-                "--algos",
-                "--families",
-            ],
+    let given = |flag: &str| argv.iter().any(|a| a == flag);
+    if given("--dispatcher-url") {
+        cmd_batch_await(&Args::parse_mode(
+            argv,
+            "batch --dispatcher-url",
             "to --dispatcher-url (the dispatcher owns the plan, solver list and cache wiring)",
-        );
-        return cmd_batch_await(&url, args);
-    }
-    if let Some(paths) = arg_value(args, "--merge") {
-        reject_flags(
-            args,
-            &[
-                "--input-dir",
-                "--file-list",
-                "--shards",
-                "--shard-index",
-                "--out",
-                "--cache-dir",
-                "--cache-url",
-                "--cache-urls",
-                "--replication",
-                "--token-file",
-                "--cache-readonly",
-                "--algos",
-                "--families",
-            ],
+        ))
+    } else if given("--merge") {
+        cmd_batch_merge(&Args::parse_mode(
+            argv,
+            "batch --merge",
             "to --merge (solver list and cells come from the shard reports)",
-        );
-        return cmd_batch_merge(&paths, args);
-    }
-    if args
-        .iter()
-        .any(|a| a == "--input-dir" || a == "--file-list")
-    {
-        reject_flags(
-            args,
-            &["--families", "--count", "--seed"],
+        ))
+    } else if given("--input-dir") || given("--file-list") {
+        cmd_batch_files(&Args::parse_mode(
+            argv,
+            "batch (",
             "to file mode (instances come from the files, not a generator)",
-        );
-        return cmd_batch_files(args);
-    }
-    reject_flags(
-        args,
-        &[
-            "--shards",
-            "--shard-index",
-            "--out",
-            "--cache-dir",
-            "--cache-url",
-            "--cache-urls",
-            "--replication",
-            "--token-file",
-            "--cache-readonly",
-            "--cells",
-        ],
-        "to generated mode; sharding and caching need --input-dir or --file-list",
-    );
-    cmd_batch_generated(args)
-}
-
-/// Exit with a usage error if any of `flags` is present — a flag that a
-/// batch mode would silently ignore is almost certainly a mistaken
-/// invocation (e.g. `--shard-index` without `--input-dir` would run the
-/// *whole* generated workload while the user believes they ran 1/N).
-fn reject_flags(args: &[String], flags: &[&str], mode: &str) {
-    for flag in flags {
-        if args.iter().any(|a| a == flag) {
-            eprintln!("error: {flag} does not apply {mode}");
-            std::process::exit(2);
-        }
+        ))
+    } else {
+        cmd_batch_generated(&Args::parse_mode(
+            argv,
+            "batch [",
+            "to generated mode; sharding and caching need --input-dir or --file-list",
+        ))
     }
 }
 
 /// Generate `count` instances per family and run every requested solver on
 /// all of them, in parallel, via the engine's batch executor. The table is
 /// the one every batch mode prints.
-fn cmd_batch_generated(args: &[String]) -> ExitCode {
+fn cmd_batch_generated(args: &Args) -> ExitCode {
     use rand::SeedableRng;
 
-    let families: Vec<DagFamily> = arg_value(args, "--families")
-        .unwrap_or_else(|| "layered,random".into())
+    let families: Vec<DagFamily> = args
+        .get("--families")
+        .unwrap_or("layered,random")
         .split(',')
         .map(family_by_name)
         .collect();
-    let count: usize = arg_value(args, "--count").map(parse_or_usage).unwrap_or(50);
-    let n: usize = arg_value(args, "-n").map(parse_or_usage).unwrap_or(30);
-    let seed: u64 = arg_value(args, "--seed").map(parse_or_usage).unwrap_or(1);
+    let count: usize = args.value("--count").unwrap_or(50);
+    let n: usize = args.value("-n").unwrap_or(30);
+    let seed: u64 = args.value("--seed").unwrap_or(1);
     let solvers = solvers_from_args(args, "dc-nfdh,greedy,layered");
     let config = config_from_args(args);
     let mut jobs = Vec::with_capacity(families.len() * count);
@@ -1041,8 +1057,8 @@ fn cmd_batch_generated(args: &[String]) -> ExitCode {
 /// `spp cache stats`: summarize a cache directory — entry counts,
 /// per-solver breakdown, bytes, distinct instances/configs. Deterministic
 /// stdout so CI can diff or parse it.
-fn cmd_cache_stats(dir: &Path) -> ExitCode {
-    let stats = match solve_cache::dir_stats(dir) {
+fn cmd_cache_stats(args: &Args) -> ExitCode {
+    let stats = match solve_cache::dir_stats(Path::new(args.required("--cache-dir"))) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1072,9 +1088,9 @@ fn cmd_cache_stats(dir: &Path) -> ExitCode {
 /// never be served (corrupt, truncated, or mis-filed entries), plus —
 /// with `--max-age <secs>` — every valid entry older than the threshold
 /// (safe by construction: an evicted cell simply recomputes on next use).
-fn cmd_cache_gc(dir: &Path, args: &[String]) -> ExitCode {
-    let max_age =
-        arg_value(args, "--max-age").map(|v| std::time::Duration::from_secs(parse_or_usage(v)));
+fn cmd_cache_gc(args: &Args) -> ExitCode {
+    let dir = Path::new(args.required("--cache-dir"));
+    let max_age = args.value("--max-age").map(std::time::Duration::from_secs);
     match solve_cache::gc_dir_aged(dir, max_age) {
         Ok(report) => {
             for path in &report.removed {
@@ -1104,27 +1120,12 @@ fn cmd_cache_gc(dir: &Path, args: &[String]) -> ExitCode {
 /// fields bit-for-bit against the recomputation. Any divergence — a
 /// corrupted-but-parseable entry, a cache poisoned by an older binary, a
 /// nondeterministic solver — is reported and fails the command.
-fn cmd_cache_verify(dir: &Path, args: &[String]) -> ExitCode {
-    let plan = match (
-        arg_value(args, "--input-dir"),
-        arg_value(args, "--file-list"),
-    ) {
-        (Some(d), None) => ShardPlan::from_dir(Path::new(&d), 1),
-        (None, Some(list)) => ShardPlan::from_file_list(Path::new(&list), 1),
-        _ => usage(),
-    };
-    let plan = match plan {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_cache_verify(args: &Args) -> ExitCode {
+    let dir = Path::new(args.required("--cache-dir"));
+    let plan = plan_from_args(args, 1);
     let solvers = solvers_from_args(args, "nfdh,ffdh,greedy,dc-nfdh");
     let config = config_from_args(args);
-    let sample: usize = arg_value(args, "--sample")
-        .map(parse_or_usage)
-        .unwrap_or(16);
+    let sample: usize = args.value("--sample").unwrap_or(16);
     let cache = match DiskCache::new(dir, true) {
         Ok(c) => c,
         Err(e) => {
@@ -1216,23 +1217,6 @@ fn cmd_cache_verify(dir: &Path, args: &[String]) -> ExitCode {
     }
 }
 
-/// `spp cache` dispatcher: stats / gc / verify over `--cache-dir`.
-fn cmd_cache(args: &[String]) -> ExitCode {
-    let Some(action) = args.first().map(String::as_str) else {
-        usage()
-    };
-    let Some(dir) = arg_value(args, "--cache-dir") else {
-        usage()
-    };
-    let dir = PathBuf::from(dir);
-    match action {
-        "stats" => cmd_cache_stats(&dir),
-        "gc" => cmd_cache_gc(&dir, &args[1..]),
-        "verify" => cmd_cache_verify(&dir, &args[1..]),
-        _ => usage(),
-    }
-}
-
 /// `spp serve`: stand the shared solve cache (and a solve endpoint) behind
 /// a dependency-free HTTP/1.1 service.
 ///
@@ -1241,30 +1225,17 @@ fn cmd_cache(args: &[String]) -> ExitCode {
 /// smoke job) can bind port 0 and scrape the chosen port. Runs until
 /// killed; every request is logged nowhere (stderr stays quiet) but
 /// counted, and `GET /stats` reports the counters.
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(args: &Args) -> ExitCode {
     use std::io::Write as _;
-    let Some(dir) = arg_value(args, "--cache-dir") else {
-        usage()
-    };
-    let mut config = ServeConfig::new(&dir);
-    if let Some(addr) = arg_value(args, "--addr") {
-        config.addr = addr;
-    }
-    if let Some(w) = arg_value(args, "--workers") {
-        config.workers = parse_or_usage(w);
-    }
-    if let Some(m) = arg_value(args, "--max-body") {
-        config.max_body = parse_or_usage(m);
-    }
-    config.readonly = args.iter().any(|a| a == "--cache-readonly");
-    config.token = token_from_args(args);
-    if let Some(b) = arg_value(args, "--max-budget-ms") {
-        config.max_budget_ms = parse_or_usage(b);
-    }
-    if let Some(s) = arg_value(args, "--max-improve-streams") {
-        config.max_improve_streams = parse_or_usage(s);
-    }
-    keepalive_from_args(args, &mut config);
+    let dir = args.required("--cache-dir");
+    let mut config = ServeConfig::new(dir);
+    listener_from_args(args, &mut config);
+    config.max_budget_ms = args
+        .value("--max-budget-ms")
+        .unwrap_or(config.max_budget_ms);
+    config.max_improve_streams = args
+        .value("--max-improve-streams")
+        .unwrap_or(config.max_improve_streams);
     let server = match Server::bind(&config) {
         Ok(s) => s,
         Err(e) => {
@@ -1284,14 +1255,22 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Apply the connection tuning flags shared by `spp serve` and
-/// `spp dispatch`: keep-alive budgets and the I/O mode.
-fn keepalive_from_args(args: &[String], config: &mut ServeConfig) {
-    if let Some(n) = arg_value(args, "--keepalive-requests") {
-        config.keepalive_requests = parse_or_usage(n);
+/// Apply the listener flags shared by `spp serve` and `spp dispatch`:
+/// address, pool size, body cap, read-only cache, token, keep-alive
+/// budgets and the I/O mode.
+fn listener_from_args(args: &Args, config: &mut ServeConfig) {
+    if let Some(addr) = args.get("--addr") {
+        config.addr = addr.to_string();
     }
-    if let Some(ms) = arg_value(args, "--idle-timeout-ms") {
-        config.idle_timeout = std::time::Duration::from_millis(parse_or_usage(ms));
+    config.workers = args.value("--workers").unwrap_or(config.workers);
+    config.max_body = args.value("--max-body").unwrap_or(config.max_body);
+    config.readonly = args.has("--cache-readonly");
+    config.token = token_from_args(args);
+    config.keepalive_requests = args
+        .value("--keepalive-requests")
+        .unwrap_or(config.keepalive_requests);
+    if let Some(ms) = args.value("--idle-timeout-ms") {
+        config.idle_timeout = std::time::Duration::from_millis(ms);
     }
     if let Some(mode) = io_mode_from_args(args) {
         config.io_mode = mode;
@@ -1300,22 +1279,9 @@ fn keepalive_from_args(args: &[String], config: &mut ServeConfig) {
 
 /// Parse `--io-mode <auto|blocking|event>` (shared by `spp serve`,
 /// `spp dispatch`, and `spp bench serve`).
-fn io_mode_from_args(args: &[String]) -> Option<IoMode> {
-    arg_value(args, "--io-mode").map(|m| match IoMode::parse(&m) {
-        Ok(mode) => mode,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage()
-        }
-    })
-}
-
-/// `spp bench` dispatcher — `serve` is the only target so far.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("serve") => cmd_bench_serve(&args[1..]),
-        _ => usage(),
-    }
+fn io_mode_from_args(args: &Args) -> Option<IoMode> {
+    let mode = args.get("--io-mode")?;
+    Some(IoMode::parse(mode).unwrap_or_else(|e| args.fail(e)))
 }
 
 /// `spp bench serve`: load-test the HTTP serving layer and prove its
@@ -1350,16 +1316,14 @@ fn cmd_bench(args: &[String]) -> ExitCode {
 /// Exits nonzero if any request errored (or any idle connection failed
 /// to stand up): a load test that quietly dropped requests would prove
 /// nothing.
-fn cmd_bench_serve(args: &[String]) -> ExitCode {
+fn cmd_bench_serve(args: &Args) -> ExitCode {
     use strip_packing::serve::bench::{run_bench, BenchConfig, Mode, Stop, Target};
     use strip_packing::serve::http;
 
-    let clients: usize = arg_value(args, "--clients")
-        .map(parse_or_usage)
-        .unwrap_or(4);
-    let idle_clients: Option<usize> = arg_value(args, "--idle-clients").map(parse_or_usage);
+    let clients: usize = args.value("--clients").unwrap_or(4);
+    let idle_clients: Option<usize> = args.value("--idle-clients");
     let io_mode = io_mode_from_args(args);
-    let modes: Vec<Mode> = match arg_value(args, "--mode").as_deref() {
+    let modes: Vec<Mode> = match args.get("--mode") {
         None | Some("both") => vec![Mode::Keepalive, Mode::Close],
         Some("keepalive") => vec![Mode::Keepalive],
         Some("close") => vec![Mode::Close],
@@ -1368,31 +1332,26 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let workload = arg_value(args, "--workload").unwrap_or_else(|| "cache-hit".into());
-    let stop = match (
-        arg_value(args, "--requests"),
-        arg_value(args, "--duration-ms"),
-    ) {
-        (Some(_), Some(_)) => {
-            eprintln!("error: --requests and --duration-ms are mutually exclusive");
-            return ExitCode::from(2);
-        }
-        (Some(n), None) => Stop::Requests(parse_or_usage(n)),
-        (None, ms) => Stop::Duration(std::time::Duration::from_millis(
-            ms.map(parse_or_usage).unwrap_or(2000),
+    let workload = args.get("--workload").unwrap_or("cache-hit").to_string();
+    if args.has("--requests") && args.has("--duration-ms") {
+        eprintln!("error: --requests and --duration-ms are mutually exclusive");
+        return ExitCode::from(2);
+    }
+    let stop = match args.value("--requests") {
+        Some(n) => Stop::Requests(n),
+        None => Stop::Duration(std::time::Duration::from_millis(
+            args.value("--duration-ms").unwrap_or(2000),
         )),
     };
-    let rate: Option<f64> = arg_value(args, "--rate").map(parse_or_usage);
+    let rate: Option<f64> = args.value("--rate");
 
     // The server under test: the user's (--url) or our own scratch one.
-    let (authority, server, io_label) = match arg_value(args, "--url") {
+    let (authority, server, io_label) = match args.get("--url") {
         Some(url) => {
-            reject_flags(
-                args,
-                &["--workers", "--io-mode"],
-                "with --url (they configure the self-spawned server)",
-            );
-            match http::parse_base_url(&url) {
+            for flag in ["--workers", "--io-mode"] {
+                args.refuse(flag, "with --url (they configure the self-spawned server)");
+            }
+            match http::parse_base_url(url) {
                 Ok(a) => (a, None, None),
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -1408,9 +1367,7 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
             }
             let mut config = ServeConfig::new(&dir);
             config.addr = "127.0.0.1:0".into();
-            if let Some(w) = arg_value(args, "--workers") {
-                config.workers = parse_or_usage(w);
-            }
+            config.workers = args.value("--workers").unwrap_or(config.workers);
             if let Some(mode) = io_mode {
                 config.io_mode = mode;
             }
@@ -1614,8 +1571,8 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    if let Some(path) = arg_value(args, "--out") {
-        if let Err(e) = std::fs::write(&path, spp_bench::json::to_json(&records)) {
+    if let Some(path) = args.get("--out") {
+        if let Err(e) = std::fs::write(path, spp_bench::json::to_json(&records)) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -1632,22 +1589,36 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("suite") => cmd_suite(&args[1..]),
-        Some("pack") => cmd_pack(&args[1..]),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `cache` and `bench` name a subcommand: their usage entries are
+    // "cache gc", "bench serve", ….
+    let words = match argv.first().map(String::as_str) {
+        Some("cache" | "bench") => 2,
+        _ => 1,
+    };
+    let Some(command) = argv.get(..words).map(|w| w.join(" ")) else {
+        usage()
+    };
+    let args = |entry: &str| Args::parse(&argv[words..], entry);
+    match command.as_str() {
+        "gen" => cmd_gen(&args("gen")),
+        "suite" => cmd_suite(&args("suite")),
         // `solve` is `pack` under its budget-era name: one-shot solving
         // is the budget_ms=0 special case of budgeted solving.
-        Some("solve") => cmd_pack(&args[1..]),
-        Some("bounds") => cmd_bounds(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("cache") => cmd_cache(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("dispatch") => cmd_dispatch(&args[1..]),
-        Some("work") => cmd_work(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("algos") => cmd_algos(),
+        "pack" | "solve" => cmd_pack(&args("pack|solve")),
+        "bounds" => cmd_bounds(&args("bounds")),
+        "batch" => cmd_batch(&argv[1..]),
+        "cache stats" => cmd_cache_stats(&args("cache stats")),
+        "cache gc" => cmd_cache_gc(&args("cache gc")),
+        "cache verify" => cmd_cache_verify(&args("cache verify")),
+        "serve" => cmd_serve(&args("serve")),
+        "dispatch" => cmd_dispatch(&args("dispatch")),
+        "work" => cmd_work(&args("work")),
+        "bench serve" => cmd_bench_serve(&args("bench serve")),
+        "algos" => {
+            args("algos");
+            cmd_algos()
+        }
         _ => usage(),
     }
 }

@@ -762,3 +762,173 @@ fn malformed_instance_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot parse"));
 }
+
+/// A small instance suite for the flag tests, under `tag`.
+fn small_suite(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("spp_cli_test_{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let suite = dir.join("instances");
+    assert!(spp()
+        .args(["suite", "--out-dir", suite.to_str().unwrap()])
+        .args(["--count", "4", "-n", "8"])
+        .output()
+        .unwrap()
+        .status
+        .success());
+    suite
+}
+
+/// Run `spp args`, expecting the usage-error exit 2 with nothing on
+/// stdout; returns stderr.
+fn refused(args: &[&str]) -> String {
+    let out = spp().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} wrote stdout");
+    stderr
+}
+
+/// `--shard-index` with its value forgotten used to be ignored, so the
+/// run covered all shards while the user believed it ran one.
+#[test]
+fn shard_index_without_its_value_runs_nothing() {
+    let suite = small_suite("shard_index_value");
+    let stderr = refused(&[
+        "batch",
+        "--input-dir",
+        suite.to_str().unwrap(),
+        "--shards",
+        "4",
+        "--shard-index",
+    ]);
+    assert!(stderr.contains("--shard-index needs a value"), "{stderr}");
+}
+
+#[test]
+fn repeated_and_unlisted_flags_are_refused() {
+    let suite = small_suite("repeated_flags");
+    let dir = suite.to_str().unwrap();
+    let stderr = refused(&[
+        "batch",
+        "--input-dir",
+        dir,
+        "--algos",
+        "nfdh",
+        "--algos",
+        "ffdh",
+    ]);
+    assert!(stderr.contains("--algos given twice"), "{stderr}");
+    let stderr = refused(&["cache", "stats", "--cache-dir", dir, "--bogus"]);
+    assert!(stderr.contains("unknown flag --bogus"), "{stderr}");
+    // A typo'd flag is named, and so is a real flag of another command.
+    let stderr = refused(&["serve", "--cache-dir", dir, "--adr", "127.0.0.1:0"]);
+    assert!(stderr.contains("unknown flag --adr"), "{stderr}");
+    let stderr = refused(&[
+        "work",
+        "--dispatcher-url",
+        "http://127.0.0.1:1",
+        "--workers",
+        "2",
+    ]);
+    assert!(stderr.contains("--workers does not apply"), "{stderr}");
+}
+
+#[test]
+fn flags_may_precede_the_instance_operand() {
+    let gen = spp()
+        .args(["gen", "-n", "6", "--seed", "4"])
+        .output()
+        .unwrap();
+    let tmp = std::env::temp_dir().join("spp_cli_test_flags_first.spp");
+    std::fs::write(&tmp, &gen.stdout).unwrap();
+    let out = spp()
+        .args(["pack", "--algo", "nfdh", tmp.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8(out.stdout).unwrap().lines().count(), 6);
+}
+
+/// A budgeted run without `--improve-streams` runs one stream, as
+/// `/solve` and leases do, so its cache keys and shard reports are the
+/// same on every host. (The old default was the host's parallelism,
+/// capped at 8: a 1-core host cannot tell the two apart.)
+#[test]
+fn budgeted_shard_defaults_to_one_improve_stream_on_every_host() {
+    let suite = small_suite("streams_default");
+    let out = spp()
+        .args(["batch", "--input-dir", suite.to_str().unwrap()])
+        .args(["--algos", "nfdh", "--budget-ms", "5"])
+        .args(["--shards", "2", "--shard-index", "0"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let report = String::from_utf8(out.stdout).unwrap();
+    assert!(report.contains(" improve_streams=1 "), "{report}");
+}
+
+/// Every usage-entry lookup: each command and batch mode refuses a flag
+/// its entry does not list, naming it (exit 2, never a panic).
+#[test]
+fn every_command_refuses_an_unknown_flag() {
+    let commands: [&[&str]; 17] = [
+        &["gen"],
+        &["suite", "--out-dir", "/nonexistent"],
+        &["pack", "-"],
+        &["solve", "-"],
+        &["bounds", "-"],
+        &["batch"],
+        &["batch", "--input-dir", "/nonexistent"],
+        &["batch", "--merge", "/nonexistent.json"],
+        &["batch", "--dispatcher-url", "http://127.0.0.1:1"],
+        &["cache", "stats", "--cache-dir", "/nonexistent"],
+        &["cache", "gc", "--cache-dir", "/nonexistent"],
+        &["cache", "verify", "--cache-dir", "/nonexistent"],
+        &["serve", "--cache-dir", "/nonexistent"],
+        &["dispatch", "--input-dir", "/nonexistent"],
+        &["work", "--dispatcher-url", "http://127.0.0.1:1"],
+        &["bench", "serve"],
+        &["algos"],
+    ];
+    for command in commands {
+        let mut args = command.to_vec();
+        args.push("--no-such-flag");
+        let stderr = refused(&args);
+        assert!(stderr.contains("--no-such-flag"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn batch_modes_refuse_each_others_flags_with_their_reason() {
+    let suite = small_suite("mode_reasons");
+    let dir = suite.to_str().unwrap();
+    for (args, message) in [
+        (
+            &["batch", "--merge", "a.json", "--cache-dir", "c"][..],
+            "--cache-dir does not apply to --merge (solver list and cells come from the shard reports)",
+        ),
+        (
+            &["batch", "--input-dir", dir, "--count", "3"][..],
+            "--count does not apply to file mode (instances come from the files, not a generator)",
+        ),
+        (
+            &["batch", "--count", "3", "--cache-dir", "c"][..],
+            "--cache-dir does not apply to generated mode; sharding and caching need --input-dir or --file-list",
+        ),
+        (
+            &["batch", "--input-dir", dir, "--shards", "2", "--shard-index", "0", "--cells"][..],
+            "--cells does not apply to a single-shard run (its output is the report JSON; use --cells on the in-process multi-shard or --merge paths)",
+        ),
+        (
+            &["batch", "--input-dir", dir, "--out", "r.json"][..],
+            "--out does not apply without --shard-index (only a single-shard run emits a report file)",
+        ),
+    ] {
+        let stderr = refused(args);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
