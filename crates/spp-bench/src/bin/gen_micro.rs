@@ -2,9 +2,9 @@
 //! (`crates/spp-bench/data/micro_n512.json`).
 //!
 //! Narrow items are deliberate: with ~10–100 items per level the skyline
-//! carries hundreds of segments, which is the regime where the pre-PR-10
-//! quadratic position scan actually bites (wide-item instances keep the
-//! contour a handful of segments and hide the asymptotics).
+//! carries ~40 segments (about 60 at most), which is the regime where the
+//! pre-PR-10 quadratic position scan actually bites (wide-item instances
+//! keep the contour a handful of segments and hide the asymptotics).
 //!
 //! ```text
 //! cargo run --release -p spp-bench --bin gen_micro

@@ -36,8 +36,8 @@ const KERNEL_BUDGET: Duration = Duration::from_millis(400);
 const STREAM_BUDGET: Duration = Duration::from_millis(150);
 
 /// The checked-in n=512 microbench instance: 512 narrow items (widths
-/// 0.005..0.06) so the skyline carries hundreds of segments — the regime
-/// where the contour scan's cost is visible. Committed so the numbers
+/// 0.005..0.06) so the skyline carries ~40 segments (about 60 at most)
+/// — the regime where the contour scan's cost is visible. Committed so the numbers
 /// are comparable across machines and PRs; regenerate with
 /// `cargo run --release -p spp-bench --bin gen_micro`.
 fn micro_instance() -> PrecInstance {

@@ -18,6 +18,9 @@
 //! whose [`summary`](crate::sharding::MergedReport::summary) is the one
 //! per-solver aggregate.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 use std::time::Duration;
 
 use spp_core::InstanceDigest;
@@ -60,15 +63,70 @@ impl CellStatus {
     }
 }
 
+/// A job label or solver name, shared: clones point at one allocation,
+/// so every cell of a job (or of a solver) carries the name without a
+/// `String` of its own, in one pointer's width. It derefs, displays,
+/// debugs and compares exactly like `str`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Name(Arc<String>);
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&**self, f)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Self {
+        Name(Arc::new(s.to_owned()))
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name(Arc::new(s))
+    }
+}
+
+/// Comparisons with `&str` and `String`, in both directions.
+macro_rules! name_eq {
+    ($($t:ty),*) => {$(
+        impl PartialEq<$t> for Name {
+            fn eq(&self, other: &$t) -> bool {
+                **self == **other
+            }
+        }
+        impl PartialEq<Name> for $t {
+            fn eq(&self, other: &Name) -> bool {
+                **self == **other
+            }
+        }
+    )*};
+}
+name_eq!(&str, String);
+
 /// One instance to be solved (by every solver passed to the executor).
 pub struct BatchJob {
     /// Caller-chosen label (e.g. `"layered/seed=7"`), echoed in results.
-    pub label: String,
+    pub label: Name,
     pub request: SolveRequest,
 }
 
 impl BatchJob {
-    pub fn new(label: impl Into<String>, request: SolveRequest) -> Self {
+    pub fn new(label: impl Into<Name>, request: SolveRequest) -> Self {
         BatchJob {
             label: label.into(),
             request,
@@ -80,16 +138,16 @@ impl BatchJob {
 ///
 /// The portable fields (`status`, `makespan`, `combined_lb`) are always
 /// present and deterministic — byte-stable across cold and warm runs.
-/// The full [`SolveReport`] (placement, timings) exists only when the
-/// solver actually ran: a cache hit has `outcome == None`, which is
-/// precisely the engine's proof that no solver was invoked.
+/// Of a fresh solve's [`SolveReport`] only the counters callers read
+/// outlive the cell: its placement, phases and bounds are dropped in the
+/// worker as soon as the cell is classified and written back.
 pub struct CellOutcome {
     /// Index into the jobs slice.
     pub job: usize,
     /// The job's label.
-    pub label: String,
+    pub label: Name,
     /// The solver's name.
-    pub solver: String,
+    pub solver: Name,
     pub status: CellStatus,
     /// Height of the packing (0 for unsupported cells).
     pub makespan: f64,
@@ -105,19 +163,16 @@ pub struct CellOutcome {
     /// Lets consumers (e.g. the `spp serve` solve endpoint) reuse the
     /// digest instead of re-serializing the instance to recompute it.
     pub digest: Option<InstanceDigest>,
-    /// The fresh solve's full outcome; `None` iff `from_cache`.
-    pub outcome: Option<Result<SolveReport, EngineError>>,
-}
-
-impl CellOutcome {
-    /// Wall time the solver spent on this cell (zero for cache hits and
-    /// refusals).
-    pub fn solve_time(&self) -> Duration {
-        match &self.outcome {
-            Some(Ok(report)) => report.total_time(),
-            _ => Duration::ZERO,
-        }
-    }
+    /// Wall time the solver spent on this cell
+    /// ([`SolveReport::total_time`]); zero for cache hits and refusals.
+    pub solve_time: Duration,
+    /// The fresh solve's [`SolveReport::improve_rounds`]; zero for cache
+    /// hits and refusals, like the two counters below.
+    pub improve_rounds: u64,
+    /// [`SolveReport::improve_streams`].
+    pub improve_streams: u64,
+    /// [`SolveReport::improve_prunes`].
+    pub improve_prunes: u64,
 }
 
 /// Classify a solve outcome into the portable cell fields
@@ -169,6 +224,7 @@ pub fn execute_cells(
     // serialization it would not use.
     let digests: Option<Vec<InstanceDigest>> =
         cache.map(|_| spp_par::par_map(jobs, |job| spp_gen::fileio::digest(&job.request.prec)));
+    let names: Vec<Name> = solvers.iter().map(|s| Name::from(s.name())).collect();
     let cells: Vec<(usize, usize)> = (0..jobs.len())
         .flat_map(|j| (0..solvers.len()).map(move |s| (j, s)))
         .collect();
@@ -183,14 +239,17 @@ pub fn execute_cells(
                 return Ok(CellOutcome {
                     job: j,
                     label: job.label.clone(),
-                    solver: solver.name().to_string(),
+                    solver: names[s].clone(),
                     status: cell.status,
                     makespan: cell.makespan,
                     combined_lb: cell.combined_lb,
                     from_cache: true,
                     improved_from: cell.improved_from,
                     digest: Some(key.digest),
-                    outcome: None,
+                    solve_time: Duration::ZERO,
+                    improve_rounds: 0,
+                    improve_streams: 0,
+                    improve_prunes: 0,
                 });
             }
         }
@@ -199,6 +258,15 @@ pub fn execute_cells(
         let improved_from = match &outcome {
             Ok(report) if report.improved() => Some(report.seed_makespan),
             _ => None,
+        };
+        let (solve_time, improve_rounds, improve_streams, improve_prunes) = match &outcome {
+            Ok(r) => (
+                r.total_time(),
+                r.improve_rounds,
+                r.improve_streams,
+                r.improve_prunes,
+            ),
+            Err(_) => (Duration::ZERO, 0, 0, 0),
         };
         if let (Some(cache), Some(key)) = (cache, &key) {
             if status != CellStatus::Invalid {
@@ -220,14 +288,17 @@ pub fn execute_cells(
         Ok(CellOutcome {
             job: j,
             label: job.label.clone(),
-            solver: solver.name().to_string(),
+            solver: names[s].clone(),
             status,
             makespan,
             combined_lb,
             from_cache: false,
             improved_from,
             digest: key.as_ref().map(|k| k.digest),
-            outcome: Some(outcome),
+            solve_time,
+            improve_rounds,
+            improve_streams,
+            improve_prunes,
         })
     });
     outcomes.into_iter().collect()
@@ -278,14 +349,10 @@ mod tests {
         assert_eq!(results[3].job, 1);
         // Two identical runs agree cell-for-cell.
         let again = execute_cells(&js, &solvers, None).unwrap();
-        let report = |c: &CellOutcome| match &c.outcome {
-            Some(Ok(report)) => report.clone(),
-            _ => panic!("cache-less cells solve"),
-        };
         for (a, b) in results.iter().zip(&again) {
-            let (ra, rb) = (report(a), report(b));
-            assert_eq!(ra.makespan, rb.makespan);
-            assert_eq!(ra.placement, rb.placement);
+            assert!(!a.from_cache && !b.from_cache, "cache-less cells solve");
+            assert_eq!(a.status, b.status);
+            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
         }
         // Aggregates: every cell solved, sensible ratios.
         let summary = summary(&solvers, results);
@@ -313,8 +380,9 @@ mod tests {
         ];
         let results = execute_cells(&js, &solvers, None).unwrap();
         assert_eq!(results.len(), 2);
-        assert!(matches!(results[0].outcome, Some(Err(_))));
-        assert!(matches!(results[1].outcome, Some(Ok(_))));
+        assert_eq!(results[0].status, CellStatus::Unsupported);
+        assert_eq!(results[0].solve_time, Duration::ZERO);
+        assert_eq!(results[1].status, CellStatus::Solved);
         let summary = summary(&solvers, results);
         assert_eq!(summary[0].unsupported, 1);
         assert_eq!(summary[1].solved, 1);
@@ -333,7 +401,7 @@ mod tests {
         let warm = execute_cells(&js, &solvers, Some(&cache)).unwrap();
         assert!(warm.iter().all(|c| c.from_cache), "every cell a hit");
         assert!(
-            warm.iter().all(|c| c.outcome.is_none()),
+            warm.iter().all(|c| c.solve_time == Duration::ZERO),
             "no solver was invoked on the warm run"
         );
         for (a, b) in cold.iter().zip(&warm) {

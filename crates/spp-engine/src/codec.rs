@@ -209,10 +209,10 @@ fn cell_parse(cv: &JsonValue, ctx: &str) -> Result<CellRow, String> {
         job: json::as_u64(cfield("job")?, &path("job")).map_err(schema)? as usize,
         label: json::as_str(cfield("label")?, &path("label"))
             .map_err(schema)?
-            .to_string(),
+            .into(),
         solver: json::as_str(cfield("solver")?, &path("solver"))
             .map_err(schema)?
-            .to_string(),
+            .into(),
         status,
         makespan: json::as_num(cfield("makespan")?, &path("makespan")).map_err(schema)?,
         combined_lb: json::as_num(cfield("lb")?, &path("lb")).map_err(schema)?,

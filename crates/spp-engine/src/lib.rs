@@ -49,7 +49,7 @@ pub mod solver;
 pub mod solvers;
 pub mod work;
 
-pub use batch::{classify_outcome, execute_cells, BatchJob, CellOutcome, CellStatus};
+pub use batch::{classify_outcome, execute_cells, BatchJob, CellOutcome, CellStatus, Name};
 pub use cache::{CacheError, CacheKey, CacheStats, CachedCell, DiskCache, MemoryCache, SolveCache};
 pub use registry::{AdvertisedBound, Registry, RegistryEntry};
 pub use report::{Constraint, LowerBounds, SolveReport, Validation};

@@ -10,8 +10,9 @@
 //!    shard outputs concatenate back into global order);
 //! 2. [`ShardPlan::lease`] turns shard `i` into a pre-assigned
 //!    [`WorkLease`], and [`run_shard`] runs it through
-//!    [`execute_lease`] — the engine's single cache-consulting pipeline —
-//!    distilling the outcome into a [`ShardReport`] of portable
+//!    [`execute_lease`](crate::work::execute_lease) — the engine's single
+//!    cache-consulting pipeline — distilling the outcome into a
+//!    [`ShardReport`] of portable
 //!    [`CellRow`]s: exactly the deterministic fields (status, makespan,
 //!    combined LB), no wall-clock noise;
 //! 3. [`merge_reports`] stitches shard reports (possibly produced by
@@ -30,8 +31,9 @@
 //!
 //! **A shard is a lease.** In-process shards, `--shard-index` processes
 //! and the leases a dispatcher hands to `spp work` pullers all run the
-//! same [`execute_lease`], and a merge checks each shard's cells with the
-//! same chunk check the dispatcher's queue applies to every completion.
+//! same [`execute_lease`](crate::work::execute_lease), and a merge
+//! checks each shard's cells with the same chunk check the dispatcher's
+//! queue applies to every completion.
 //!
 //! **Resume is the cache.** There is no separate manifest code path:
 //! attach a [`DiskCache`](crate::cache::DiskCache) and every already
@@ -53,12 +55,12 @@ use std::time::Duration;
 use spp_core::hash::Fnv1a;
 use spp_core::json;
 
-use crate::batch::CellStatus;
+use crate::batch::{CellStatus, Name};
 use crate::cache::SolveCache;
 use crate::codec::{self, Doc, Family};
 use crate::request::SolveConfig;
 use crate::solver::Solver;
-use crate::work::{check_chunk, execute_lease, LeaseObserver, WorkError, WorkLease};
+use crate::work::{check_chunk, execute_labeled, LeaseObserver, WorkError, WorkLease};
 
 // ---------------------------------------------------------------------------
 // Shard planning
@@ -74,6 +76,9 @@ use crate::work::{check_chunk, execute_lease, LeaseObserver, WorkError, WorkLeas
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     paths: Vec<PathBuf>,
+    /// `labels[i]` is the label of `paths[i]`, shared by every row any
+    /// run of the plan writes for it.
+    labels: Vec<Name>,
     shards: usize,
 }
 
@@ -87,7 +92,12 @@ impl ShardPlan {
         }
         paths.sort();
         paths.dedup();
-        Ok(ShardPlan { paths, shards })
+        let labels = paths.iter().map(|p| label_for(p).into()).collect();
+        Ok(ShardPlan {
+            paths,
+            labels,
+            shards,
+        })
     }
 
     /// Plan over every `*.json` / `*.spp` file directly inside `dir`.
@@ -181,6 +191,11 @@ impl ShardPlan {
         Ok(&self.paths[self.shard_range(shard)?])
     }
 
+    /// The labels of a lease cut from this plan, one per path.
+    fn lease_labels(&self, lease: &WorkLease) -> &[Name] {
+        &self.labels[lease.start..lease.start + lease.jobs()]
+    }
+
     /// Shard `shard` as a pre-assigned [`WorkLease`]: its files in global
     /// order, numbered from the shard's first global job, to be run by the
     /// named solvers under `config`. Its `id` is 0: no queue granted it.
@@ -232,9 +247,9 @@ pub struct CellRow {
     /// Global job index (position in the plan's sorted path list).
     pub job: usize,
     /// Instance label — the file stem.
-    pub label: String,
+    pub label: Name,
     /// Solver name.
-    pub solver: String,
+    pub solver: Name,
     pub status: CellStatus,
     /// Height of the packing (0 for unsupported cells).
     pub makespan: f64,
@@ -587,7 +602,7 @@ fn solver_names(solvers: &[Box<dyn Solver>]) -> Vec<String> {
 /// Run one shard: execute its [lease](ShardPlan::lease) through the
 /// engine's single cache-consulting pipeline
 /// ([`execute_cells`](crate::batch::execute_cells), via
-/// [`execute_lease`]), reducing to the portable report a later
+/// [`execute_lease`](crate::work::execute_lease)), reducing to the portable report a later
 /// [`merge_reports`] consumes.
 pub fn run_shard(
     plan: &ShardPlan,
@@ -597,7 +612,7 @@ pub fn run_shard(
     cache: Option<&dyn SolveCache>,
 ) -> Result<ShardReport, WorkError> {
     let lease = plan.lease(shard, &solver_names(solvers), config)?;
-    let (cells, _) = execute_lease(&lease, solvers, cache)?;
+    let (cells, _) = execute_labeled(&lease, plan.lease_labels(&lease), solvers, cache)?;
     Ok(ShardReport {
         shard,
         shards: plan.shards(),
@@ -616,7 +631,8 @@ pub fn run_shard(
 /// Run every shard of the plan and merge.
 ///
 /// Shards run one after another on the calling thread, each as its
-/// [lease](ShardPlan::lease) through [`execute_lease`], which spreads
+/// [lease](ShardPlan::lease) through
+/// [`execute_lease`](crate::work::execute_lease), which spreads
 /// the shard's cells over every core; this function spawns no thread of
 /// its own. Shard cells concatenate in shard order, which is global job
 /// order, so the output does not depend on the shard count.
@@ -642,7 +658,7 @@ pub fn run_sharded(
     let mut cells = Vec::new();
     for shard in 0..plan.shards() {
         let lease = plan.lease(shard, &names, config)?;
-        let (rows, runtime) = execute_lease(&lease, solvers, cache)?;
+        let (rows, runtime) = execute_labeled(&lease, plan.lease_labels(&lease), solvers, cache)?;
         if let Some(observe) = observer {
             observe(&lease, &rows, &runtime);
         }
@@ -759,7 +775,7 @@ mod tests {
                     .map(|s| CellRow {
                         job: 0,
                         label: "a".into(),
-                        solver: s.to_string(),
+                        solver: (*s).into(),
                         status: CellStatus::Solved,
                         makespan: 1.0,
                         combined_lb: 1.0,
@@ -886,6 +902,34 @@ mod tests {
         assert_eq!(fourth.solvers, vec!["ffdh".to_string()]);
         assert!(fourth.cells.iter().all(|c| c.solver == "ffdh"));
         assert_eq!(cold.stats().hits, 0);
+    }
+
+    #[test]
+    fn rows_of_one_job_share_one_label_allocation() {
+        let dir = write_suite("names", 4);
+        let s = solvers(&["nfdh", "ffdh", "greedy"]);
+        let plan = ShardPlan::from_dir(&dir, 2).unwrap();
+        let merged = run_sharded(&plan, &s, &SolveConfig::default(), None, None).unwrap();
+        let again = run_sharded(&plan, &s, &SolveConfig::default(), None, None).unwrap();
+        assert_eq!(merged.cells.len(), 12);
+        // Every row of a job, in every run of the plan, holds the plan's
+        // one label.
+        for (job, rerun) in merged
+            .cells
+            .chunks(s.len())
+            .zip(again.cells.chunks(s.len()))
+        {
+            for c in job.iter().chain(rerun) {
+                assert!(std::ptr::eq(c.label.as_ptr(), job[0].label.as_ptr()));
+            }
+        }
+        // Solver names are shared within each lease too.
+        for lease in merged.cells.chunks(2 * s.len()) {
+            for (i, c) in lease.iter().enumerate() {
+                let first = &lease[i % s.len()];
+                assert!(std::ptr::eq(c.solver.as_ptr(), first.solver.as_ptr()));
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crate::batch::{execute_cells, BatchJob, CellOutcome};
+use crate::batch::{execute_cells, BatchJob, CellOutcome, Name};
 use crate::cache::{CacheError, SolveCache};
 use crate::codec::{self, Doc, Family};
 use crate::request::{SolveConfig, SolveRequest};
@@ -475,8 +475,22 @@ pub fn execute_lease(
     solvers: &[Box<dyn Solver>],
     cache: Option<&dyn SolveCache>,
 ) -> Result<(Vec<CellRow>, ShardRuntime), WorkError> {
+    let labels: Vec<Name> = lease.paths.iter().map(|p| label_for(p).into()).collect();
+    execute_labeled(lease, &labels, solvers, cache)
+}
+
+/// [`execute_lease`] with the jobs' labels given, one per path: a
+/// [`ShardPlan`](crate::sharding::ShardPlan) keeps them, so every run of
+/// the plan shares one allocation per label.
+pub(crate) fn execute_labeled(
+    lease: &WorkLease,
+    labels: &[Name],
+    solvers: &[Box<dyn Solver>],
+    cache: Option<&dyn SolveCache>,
+) -> Result<(Vec<CellRow>, ShardRuntime), WorkError> {
+    debug_assert_eq!(labels.len(), lease.paths.len(), "one label per path");
     let mut jobs = Vec::with_capacity(lease.paths.len());
-    for path in &lease.paths {
+    for (path, label) in lease.paths.iter().zip(labels) {
         let prec = spp_gen::fileio::read_path(path).map_err(|e| match e {
             spp_gen::fileio::FileIoError::Io { path, err } => WorkError::Io { path, err },
             other => WorkError::Load {
@@ -485,7 +499,7 @@ pub fn execute_lease(
             },
         })?;
         jobs.push(BatchJob::new(
-            label_for(path),
+            label.clone(),
             SolveRequest::new(prec).with_config(lease.config.clone()),
         ));
     }
@@ -503,7 +517,7 @@ pub fn cell_rows(outcomes: Vec<CellOutcome>, start: usize) -> (Vec<CellRow>, Sha
     let cells = outcomes
         .into_iter()
         .map(|c| {
-            runtime.cpu_time += c.solve_time();
+            runtime.cpu_time += c.solve_time;
             if c.from_cache {
                 runtime.cache_hits += 1;
             }
@@ -741,8 +755,8 @@ mod tests {
             for solver in &lease.solvers {
                 cells.push(CellRow {
                     job: lease.start + i,
-                    label: label_for(path),
-                    solver: solver.clone(),
+                    label: label_for(path).into(),
+                    solver: solver.as_str().into(),
                     status: CellStatus::Solved,
                     makespan: (lease.start + i) as f64 + 1.0,
                     combined_lb: 1.0,

@@ -21,19 +21,28 @@
 //! * **random subset** — a seeded subset is removed from the order and
 //!   re-inserted at seeded positions.
 //!
-//! Each round decodes under the incumbent's **makespan envelope**: the
-//! moment a partial decode reaches the incumbent height the round is
-//! abandoned (it cannot strictly improve). The incumbent is replaced
-//! only on strict improvement, and mutations always restart from the
-//! incumbent's own order, so the search never drifts away from its best.
+//! Each round decodes under the incumbent's **makespan envelope** and is
+//! abandoned the moment it provably cannot strictly improve: when the
+//! partial height reaches the envelope, or when one of two certificates
+//! from the paper's lower bounds does — the area under the skyline
+//! contour plus the unplaced items' area (AREA, counting the waste
+//! already trapped), or a placed item's bottom plus its longest chain of
+//! successor heights (the chain height behind Theorem 2.3). Both are
+//! checked against the envelope plus a slack that covers every
+//! `EPS`-thin loss, so an abandoned round is always one the full decode
+//! would have rejected (the argument is on `decode_into`). The
+//! incumbent is replaced only on strict improvement, and mutations
+//! always restart from the incumbent's own order, so the search never
+//! drifts away from its best.
 //!
 //! The decode inner loop is allocation-free on the steady state: one
-//! [`DecodeScratch`] (rank/floor/missing/heap buffers plus the working
-//! placement and skyline) is reused across rounds, the band occupancy
-//! used by the worst-waste strategy lives in an event-sweep
-//! [`BandIndex`] rebuilt only when the incumbent changes, and order
-//! mutations rebuild through a boolean mask in a single pass instead of
-//! `retain` + per-element `insert`.
+//! [`DecodeScratch`] (rank/floor/missing buffers, a ready set kept as a
+//! bitset over priority rank, the chain tails, and the working placement
+//! and skyline) is reused across rounds, the band occupancy used by the
+//! worst-waste strategy lives in an event-sweep [`BandIndex`] rebuilt
+//! only when the incumbent changes, and order mutations rebuild through
+//! a boolean mask in a single pass instead of `retain` + per-element
+//! `insert`.
 //!
 //! **Determinism contract.** The *sequence* of candidate placements is a
 //! pure function of `(instance, seed placement, seed)`. The wall-clock
@@ -54,8 +63,6 @@
 //! streams through scheduling, so it is off by default and documented as
 //! trading cross-run reproducibility for throughput.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -191,40 +198,105 @@ fn order_of(prec: &PrecInstance, pl: &Placement) -> Vec<usize> {
 }
 
 /// Reusable buffers for [`decode_into`]: the rank/floor/missing arrays,
-/// the ready-heap, and the working placement + skyline. One scratch per
-/// search stream makes the decode loop allocation-free on the steady
-/// state — buffers are sized once and reused every round.
+/// the ready bitset, the per-item chain tails, and the working placement
+/// and skyline. One scratch per search stream makes the decode loop
+/// allocation-free on the steady state — buffers are sized once per
+/// [`improve`] call and reused every round.
 #[derive(Debug)]
 pub(crate) struct DecodeScratch {
     rank: Vec<usize>,
     floor: Vec<f64>,
     missing: Vec<usize>,
-    ready: BinaryHeap<Reverse<(usize, usize)>>,
+    /// Ready items as a bitset over priority rank: bit `r` is `order[r]`.
+    ready: Vec<u64>,
+    /// `tail[v]` = `h_v` plus the tallest chain of successor heights:
+    /// every feasible packing has a top at or above `y_v + tail[v]`.
+    tail: Vec<f64>,
+    /// Total item area, `Σ w·h`.
+    item_area: f64,
     pl: Placement,
     sky: Skyline,
 }
 
 impl DecodeScratch {
-    fn new(n: usize) -> Self {
+    fn new(prec: &PrecInstance) -> Self {
+        let n = prec.len();
+        let topo =
+            spp_dag::topo::topological_order(&prec.dag).expect("PrecInstance DAGs are acyclic");
+        let mut tail = vec![0.0; n];
+        for &v in topo.iter().rev() {
+            let above = prec
+                .dag
+                .succs(v)
+                .iter()
+                .map(|&s| tail[s])
+                .fold(0.0, f64::max);
+            tail[v] = prec.inst.item(v).h + above;
+        }
         DecodeScratch {
             rank: vec![0; n],
             floor: vec![0.0; n],
             missing: vec![0; n],
-            ready: BinaryHeap::with_capacity(n),
+            ready: vec![0; n.div_ceil(64)],
+            tail,
+            item_area: prec.inst.total_area(),
             pl: Placement::zeroed(n),
             sky: Skyline::new(),
         }
     }
 }
 
+/// Take the lowest set rank from `ready`. Every set bit lies in a word at
+/// or after `*word`, which the scan advances past empty words.
+fn pop_ready(ready: &mut [u64], word: &mut usize) -> Option<usize> {
+    while let Some(&bits) = ready.get(*word) {
+        if bits != 0 {
+            ready[*word] = bits & (bits - 1);
+            return Some(*word * 64 + bits.trailing_zeros() as usize);
+        }
+        *word += 1;
+    }
+    None
+}
+
 /// Decode a priority order into a feasible placement via skyline
 /// best-fit: items become eligible only when every predecessor is
 /// placed, eligible items are taken in priority-order rank, and each is
 /// dropped at the lowest-leftmost position at or above its floor
-/// (max of release time and predecessor tops). Returns `None` as soon as
-/// the partial height reaches `envelope` — the candidate cannot strictly
-/// beat the incumbent, so the rest of the decode is wasted work. On
-/// `Some(h)`, `scratch.pl` holds the decoded placement of height `h`.
+/// (max of release time and predecessor tops). On `Some(h)`,
+/// `scratch.pl` holds the decoded placement of height `h`.
+///
+/// The ready set is a bitset over rank: ranks are unique, so its lowest
+/// set bit is exactly the minimum a priority queue would pop, and a
+/// successor released below the scan position moves the scan back.
+///
+/// Returns `None` as soon as the round provably cannot end below
+/// `envelope − IMPROVE_EPS` — the candidate cannot strictly beat the
+/// incumbent, so the rest of the decode is wasted work. Three facts
+/// certify that, each checked as items are placed:
+///
+/// * **Top.** The partial height already reaches `envelope − IMPROVE_EPS`.
+/// * **Chain tail.** Every successor of `v` lands at or above `v`'s top,
+///   so the final height `H ≥ y_v + tail[v]`.
+/// * **Area.** The skyline contour's area `A` (waste under it included)
+///   plus the unplaced items' area `U` bounds `H`: each later item lands
+///   at or above every contour segment it overlaps, so it raises `A` by
+///   its own `w·h`, and the final contour, no higher than `H` over width
+///   1, has area at most `H`. The only losses are `EPS`-thin. Per
+///   placement they are five pieces at most `EPS` wide and `H` high —
+///   the two span edges `intervals_overlap` ignores, the two pieces
+///   beside them that `place` drops, and the one sliver a width-`≤ EPS`
+///   item can leave — plus merges of heights within `EPS` over width at
+///   most 1: `6·EPS·max(H, 1)` in all. So `H ≥ A + U − 6n·EPS·max(H, 1)`.
+///
+/// The two bounds abandon only at `envelope − IMPROVE_EPS + slack` with
+/// `slack = 8(n+1)·EPS·max(envelope, 1)` (4.1e-6 for n = 512 and an
+/// envelope up to 1), which also covers the rounding of the summed areas
+/// and chained heights. If a round would have finished below
+/// `envelope − IMPROVE_EPS`, each bound is below `H + slack`, so it
+/// never fires. An abandoned round is thus one the full decode would
+/// also have rejected, whatever the envelope, and the search's outcome
+/// sequence is unchanged.
 fn decode_into(
     prec: &PrecInstance,
     order: &[usize],
@@ -238,32 +310,44 @@ fn decode_into(
     for it in prec.inst.items() {
         scratch.floor[it.id] = it.release;
     }
-    scratch.ready.clear();
+    scratch.ready.fill(0);
     for v in 0..n {
         scratch.missing[v] = prec.dag.in_degree(v);
         if scratch.missing[v] == 0 {
-            scratch.ready.push(Reverse((scratch.rank[v], v)));
+            let r = scratch.rank[v];
+            scratch.ready[r / 64] |= 1 << (r % 64);
         }
     }
     scratch.sky.reset();
 
+    let slack = 8.0 * (n as f64 + 1.0) * spp_core::eps::EPS * envelope.max(1.0);
+    let bound_cut = envelope - IMPROVE_EPS + slack;
+    let mut unplaced = scratch.item_area;
     let mut top = 0.0f64;
     let mut placed = 0usize;
-    while let Some(Reverse((_, v))) = scratch.ready.pop() {
+    let mut word = 0usize;
+    while let Some(r) = pop_ready(&mut scratch.ready, &mut word) {
+        let v = order[r];
         let it = prec.inst.item(v);
         let (x, y) = scratch.sky.best_position(it.w, scratch.floor[v]);
         top = top.max(y + it.h);
-        if top >= envelope - IMPROVE_EPS {
+        if top >= envelope - IMPROVE_EPS || y + scratch.tail[v] >= bound_cut {
             return None;
         }
         scratch.sky.place(x, y, it.w, it.h);
+        unplaced -= it.area();
+        if scratch.sky.area() + unplaced >= bound_cut {
+            return None;
+        }
         scratch.pl.set(v, x, y);
         placed += 1;
         for &w in prec.dag.succs(v) {
             scratch.floor[w] = scratch.floor[w].max(y + it.h);
             scratch.missing[w] -= 1;
             if scratch.missing[w] == 0 {
-                scratch.ready.push(Reverse((scratch.rank[w], w)));
+                let rw = scratch.rank[w];
+                scratch.ready[rw / 64] |= 1 << (rw % 64);
+                word = word.min(rw / 64);
             }
         }
     }
@@ -465,7 +549,7 @@ pub fn improve(prec: &PrecInstance, seed_pl: &Placement, cfg: &ImproveConfig) ->
     let mut base_order = order_of(prec, seed_pl);
     // The seed solver may not be skyline-shaped at all; decoding its own
     // order is round 0's "identity" move and often already improves.
-    let mut scratch = DecodeScratch::new(n);
+    let mut scratch = DecodeScratch::new(prec);
     let mut bands = BandIndex::default();
     bands.rebuild(prec, &out.placement);
     let mut mask = vec![false; n];
@@ -930,6 +1014,121 @@ mod tests {
                 "item {i}: band index {fast} vs quadratic {slow}"
             );
         }
+    }
+
+    /// The decode with a binary-heap ready set and only the partial-top
+    /// check: the oracle [`decode_into`] must reproduce.
+    fn decode_heap(
+        prec: &PrecInstance,
+        order: &[usize],
+        envelope: f64,
+    ) -> Option<(f64, Placement)> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let n = prec.len();
+        let mut rank = vec![0; n];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v] = i;
+        }
+        let mut floor: Vec<f64> = prec.inst.items().iter().map(|it| it.release).collect();
+        let mut missing: Vec<usize> = (0..n).map(|v| prec.dag.in_degree(v)).collect();
+        let mut ready: BinaryHeap<Reverse<(usize, usize)>> = (0..n)
+            .filter(|&v| missing[v] == 0)
+            .map(|v| Reverse((rank[v], v)))
+            .collect();
+        let mut sky = Skyline::new();
+        let mut pl = Placement::zeroed(n);
+        let mut top = 0.0f64;
+        while let Some(Reverse((_, v))) = ready.pop() {
+            let it = prec.inst.item(v);
+            let (x, y) = sky.best_position(it.w, floor[v]);
+            top = top.max(y + it.h);
+            if top >= envelope - IMPROVE_EPS {
+                return None;
+            }
+            sky.place(x, y, it.w, it.h);
+            pl.set(v, x, y);
+            for &w in prec.dag.succs(v) {
+                floor[w] = floor[w].max(y + it.h);
+                missing[w] -= 1;
+                if missing[w] == 0 {
+                    ready.push(Reverse((rank[w], w)));
+                }
+            }
+        }
+        Some((top, pl))
+    }
+
+    /// Random precedence/release instances, including widths `≤ EPS`
+    /// and full-width items, decoded in random orders under random
+    /// envelopes (many within a hair of the full height). An abandoned
+    /// decode is one whose full height could not have beaten the
+    /// envelope; a finished one is the oracle's placement, bit for bit.
+    #[test]
+    fn decode_matches_the_heap_oracle_or_prunes_a_losing_round() {
+        let mut pruned = 0;
+        for case in 0..400u64 {
+            let mut rng = SplitMix64::new(case);
+            // Every fourth instance spans several ready-set words.
+            let n = 2 + rng.next_below(if case % 4 == 0 { 240 } else { 60 }) as usize;
+            let dims: Vec<(f64, f64, f64)> = (0..n)
+                .map(|_| {
+                    let w = match rng.next_below(12) {
+                        0 => spp_core::eps::EPS * (0.01 + rng.next_f64()),
+                        1 => 1.0,
+                        _ => 0.01 + 0.6 * rng.next_f64(),
+                    };
+                    let release = if rng.next_below(3) == 0 {
+                        2.0 * rng.next_f64()
+                    } else {
+                        0.0
+                    };
+                    (w, 0.05 + rng.next_f64(), release)
+                })
+                .collect();
+            let density = rng.next_below(4);
+            let mut edges = Vec::new();
+            for a in 0..n {
+                for b in a + 1..n {
+                    if rng.next_below(4 * n as u64) < density {
+                        edges.push((a, b));
+                    }
+                }
+            }
+            let prec = PrecInstance::new(
+                Instance::from_dims_release(&dims).unwrap(),
+                Dag::new(n, &edges).unwrap(),
+            );
+            let mut order: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut order);
+            let (full, full_pl) = decode_heap(&prec, &order, f64::INFINITY).expect("no envelope");
+            let mut scratch = DecodeScratch::new(&prec);
+            for _ in 0..6 {
+                let envelope = match rng.next_below(3) {
+                    0 => full * (0.6 + 0.8 * rng.next_f64()),
+                    1 => full + IMPROVE_EPS * (2.0 * rng.next_f64() - 0.5),
+                    _ => full * (1.0 + 1e-6 * rng.next_f64()) + IMPROVE_EPS,
+                };
+                match decode_into(&prec, &order, envelope, &mut scratch) {
+                    None => {
+                        pruned += 1;
+                        assert!(
+                            full >= envelope - IMPROVE_EPS,
+                            "case {case}: abandoned a round of height {full} under {envelope}"
+                        );
+                        assert!(decode_heap(&prec, &order, envelope).is_none());
+                    }
+                    Some(h) => {
+                        assert_eq!(h.to_bits(), full.to_bits(), "case {case}: height");
+                        assert_eq!(scratch.pl, full_pl, "case {case}: placement");
+                    }
+                }
+            }
+        }
+        assert!(
+            pruned > 0 && pruned < 400 * 6,
+            "envelopes must both prune and pass"
+        );
     }
 
     #[test]

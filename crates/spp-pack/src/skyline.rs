@@ -23,15 +23,12 @@ pub struct Segment {
     pub y: f64,
 }
 
-/// Reusable buffers for the hot-path operations. Living inside the
+/// Reusable buffers for [`Skyline::place`]. Living inside the
 /// [`Skyline`] (rather than being reallocated per call) keeps the decode
 /// inner loop of the anytime improvement search allocation-free once the
 /// buffers have grown to their steady-state capacity.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Monotonic deque of segment indices for the sliding-window max of
-    /// [`Skyline::best_position`] (front holds the tallest segment).
-    deque: Vec<usize>,
     /// The next contour being assembled by [`Skyline::place`].
     build: Vec<Segment>,
     /// Right-of-span clips collected during the same pass.
@@ -42,6 +39,8 @@ struct Scratch {
 #[derive(Debug, Clone)]
 pub struct Skyline {
     segs: Vec<Segment>,
+    /// `Σ w·y` over `segs`, summed by [`Skyline::place`] as it builds.
+    area: f64,
     scratch: Scratch,
 }
 
@@ -53,14 +52,17 @@ impl Default for Skyline {
 
 /// Append `s` to an in-order contour, merging with the previous segment
 /// when heights match and the segments are adjacent (the same
-/// canonicalization the sort-based rebuild performed).
-fn push_merged(out: &mut Vec<Segment>, s: Segment) {
+/// canonicalization the sort-based rebuild performed), and add the
+/// piece's area at the height it is stored at to `area`.
+fn push_merged(out: &mut Vec<Segment>, area: &mut f64, s: Segment) {
     if let Some(last) = out.last_mut() {
         if spp_core::eps::approx_eq(last.y, s.y) && spp_core::eps::approx_eq(last.x + last.w, s.x) {
             last.w += s.w;
+            *area += s.w * last.y;
             return;
         }
     }
+    *area += s.w * s.y;
     out.push(s);
 }
 
@@ -73,6 +75,7 @@ impl Skyline {
                 w: 1.0,
                 y: 0.0,
             }],
+            area: 0.0,
             scratch: Scratch::default(),
         }
     }
@@ -87,11 +90,21 @@ impl Skyline {
             w: 1.0,
             y: 0.0,
         });
+        self.area = 0.0;
     }
 
     /// The segments, left to right (non-overlapping, covering `[0, 1]`).
     pub fn segments(&self) -> &[Segment] {
         &self.segs
+    }
+
+    /// Area under the contour, `Σ w·y` over its segments, trapped waste
+    /// included. Placing an item at a [`Skyline::best_position`] raises
+    /// it by the item's `w·h` or more, less `EPS`-thin pieces: the edges
+    /// of the span that no overlap test sees, and the pieces of width
+    /// `≤ EPS` that [`Skyline::place`] drops.
+    pub fn area(&self) -> f64 {
+        self.area
     }
 
     /// Maximum skyline height over the span `[x, x + w)`.
@@ -109,74 +122,91 @@ impl Skyline {
     /// with the extra constraint `y ≥ min_y`. Candidates are segment left
     /// edges (and `1 − w`, to allow right-flush placements).
     ///
-    /// Candidate x's are nondecreasing, so the span `[x, x + w)` is a
-    /// sliding window over the contour; a monotonic deque maintains the
-    /// running max height in O(1) amortized per candidate. One sweep costs
-    /// O(S) total where the per-candidate `span_height` rescan of
-    /// [`Skyline::best_position_scan`] cost O(S²) — the difference is the
-    /// whole decode kernel going from accidentally quadratic to linear.
-    /// Candidate order, overlap tolerance, and tie-breaking are identical
-    /// to the scan, so both return bit-identical positions (property
-    /// tested below).
+    /// **A record-chain sweep.** Candidate x's arrive in nondecreasing
+    /// order (segment starts are sorted and the clamp to `[0, 1 − w]` is
+    /// monotone), so the scan's tie clause — `approx_eq(y, by)` with
+    /// `x < bx − EPS` — can never fire after the first candidate: a later
+    /// candidate replaces the best only with `y < by − EPS`. The best is
+    /// therefore a chain of strict records against the cut `by − EPS`,
+    /// and the sweep only has to find the next candidate whose window is
+    /// entirely below the cut:
+    ///
+    /// * once `min_y ≥ cut`, no later candidate can win, and it stops;
+    /// * a candidate whose window overlaps a segment `j` with `y ≥ cut`
+    ///   cannot win, and neither can any candidate up to segment `j`'s
+    ///   own left edge: its `x` lies between this one's and `j`'s start,
+    ///   so its window overlaps `j` by at least as much. The sweep jumps
+    ///   straight to candidate `j + 1`;
+    /// * a candidate whose window holds no such segment is the next
+    ///   record, and its tallest segment then blocks every candidate up
+    ///   to that segment's edge in the same way.
+    ///
+    /// Each window is walked from the first segment ending after `x` to
+    /// the last starting before `x + w`, testing overlap with the same
+    /// `intervals_overlap` call and folding heights with the same `max`
+    /// in the same order as [`Skyline::best_position_scan`]. Segments
+    /// outside that range cannot overlap, so both return bit-identical
+    /// positions (property tested below).
     ///
     /// Returns `(x, y)`.
-    pub fn best_position(&mut self, w: f64, min_y: f64) -> (f64, f64) {
-        let Skyline { segs, scratch } = self;
+    pub fn best_position(&self, w: f64, min_y: f64) -> (f64, f64) {
+        let segs = &self.segs;
         let n = segs.len();
-        let deque = &mut scratch.deque;
-        deque.clear();
-        let mut head = 0usize; // deque[head..] live, y strictly decreasing
-        let mut lo = 0usize; // first segment overlapping the window
-        let mut hi = 0usize; // one past the last admitted segment
         let mut best: Option<(f64, f64)> = None;
-        let overlaps = |i: usize, x: f64| -> bool {
-            spp_core::eps::intervals_overlap(segs[i].x, segs[i].x + segs[i].w, x, x + w)
-        };
-        let mut consider = |x: f64, span_h: f64| {
-            let y = span_h.max(min_y);
-            match best {
-                None => best = Some((x, y)),
-                Some((bx, by)) => {
-                    if y < by - spp_core::eps::EPS
-                        || (spp_core::eps::approx_eq(y, by) && x < bx - spp_core::eps::EPS)
-                    {
-                        best = Some((x, y));
-                    }
-                }
-            }
-        };
-        // Raw candidates in nondecreasing clamped order: every segment
-        // left edge, then the right-flush 1 − w.
-        for c in 0..=n {
+        // Strict records only: a later candidate wins iff its y < cut.
+        let mut cut = f64::INFINITY;
+        let mut lo = 0usize; // first segment ending after the window start
+        let mut c = 0usize;
+        while c <= n {
             let raw = if c < n { segs[c].x } else { 1.0 - w };
             if raw < -spp_core::eps::EPS || raw + w > 1.0 + spp_core::eps::EPS {
+                c += 1;
                 continue;
             }
             let x = raw.max(0.0).min(1.0 - w);
-            while hi < n && overlaps(hi, x) {
-                while deque.len() > head && segs[*deque.last().unwrap()].y <= segs[hi].y {
-                    deque.pop();
-                }
-                deque.push(hi);
-                hi += 1;
-            }
-            while lo < hi && !overlaps(lo, x) {
-                if deque.get(head) == Some(&lo) {
-                    head += 1;
-                }
+            let end = x + w;
+            while lo < n && segs[lo].x + segs[lo].w <= x {
                 lo += 1;
             }
-            let span_h = deque.get(head).map_or(0.0, |&i| segs[i].y);
-            consider(x, span_h);
+            let mut span_h = 0.0f64;
+            let mut tallest = None;
+            let mut blocked = None;
+            let mut i = lo;
+            while i < n && segs[i].x < end {
+                let s = &segs[i];
+                if spp_core::eps::intervals_overlap(s.x, s.x + s.w, x, end) {
+                    if s.y >= cut {
+                        blocked = Some(i);
+                        break;
+                    }
+                    if s.y >= span_h {
+                        tallest = Some(i);
+                    }
+                    span_h = span_h.max(s.y);
+                }
+                i += 1;
+            }
+            if let Some(j) = blocked {
+                c = c.max(j) + 1;
+                continue;
+            }
+            let y = span_h.max(min_y);
+            best = Some((x, y));
+            cut = y - spp_core::eps::EPS;
+            if min_y >= cut {
+                break;
+            }
+            // y is the tallest segment's height, so it blocks every
+            // candidate up to its own left edge.
+            c = c.max(tallest.unwrap_or(c)) + 1;
         }
         best.expect("width ≤ 1 always has a candidate")
     }
 
-    /// The pre-optimization reference implementation of
-    /// [`Skyline::best_position`]: a full `span_height` rescan per
-    /// candidate, O(S²) per call. Kept (not cfg(test)-gated) as the
-    /// differential-test oracle and as the E17 bench baseline the fast
-    /// sweep is measured against.
+    /// The reference implementation of [`Skyline::best_position`]: a full
+    /// `span_height` rescan per candidate, O(S²) per call. Kept (not
+    /// cfg(test)-gated) as the differential-test oracle and as the E17
+    /// bench baseline the sweep is measured against.
     pub fn best_position_scan(&self, w: f64, min_y: f64) -> (f64, f64) {
         let mut best: Option<(f64, f64)> = None;
         let mut consider = |x: f64| {
@@ -223,7 +253,12 @@ impl Skyline {
         // the right clips (which all start at ≥ x1 > x0, nondecreasing).
         // This is the same contour the old sort-based rebuild produced,
         // bit for bit, without the per-call allocation and sort.
-        let Skyline { segs, scratch } = self;
+        let Skyline {
+            segs,
+            area,
+            scratch,
+        } = self;
+        *area = 0.0;
         let build = &mut scratch.build;
         let clips = &mut scratch.clips;
         build.clear();
@@ -236,6 +271,7 @@ impl Skyline {
                 if wleft > spp_core::eps::EPS {
                     push_merged(
                         build,
+                        area,
                         Segment {
                             x: s0,
                             w: wleft,
@@ -259,6 +295,7 @@ impl Skyline {
         }
         push_merged(
             build,
+            area,
             Segment {
                 x: x0,
                 w: x1 - x0,
@@ -266,7 +303,7 @@ impl Skyline {
             },
         );
         for &clip in clips.iter() {
-            push_merged(build, clip);
+            push_merged(build, area, clip);
         }
         std::mem::swap(segs, build);
     }
@@ -338,7 +375,7 @@ mod tests {
 
     #[test]
     fn min_y_constraint_respected() {
-        let mut sky = Skyline::new();
+        let sky = Skyline::new();
         let (_, y) = sky.best_position(0.5, 2.5);
         assert_eq!(y, 2.5);
     }
@@ -389,6 +426,71 @@ mod tests {
         let pl = skyline_pack(&inst);
         spp_core::validate::assert_valid(&inst, &pl);
         spp_core::assert_close!(pl.height(&inst), 1.0);
+    }
+
+    /// Assert the sweep returns the scan's position bit for bit.
+    fn assert_sweep_is_scan(sky: &Skyline, w: f64, min_y: f64) {
+        let scan = sky.best_position_scan(w, min_y);
+        let sweep = sky.best_position(w, min_y);
+        assert_eq!(
+            (scan.0.to_bits(), scan.1.to_bits()),
+            (sweep.0.to_bits(), sweep.1.to_bits()),
+            "w {w:e} min_y {min_y:e}: scan {scan:?} sweep {sweep:?} on {:?}",
+            sky.segments()
+        );
+    }
+
+    /// The sweep against the scan on the contours the anytime decode
+    /// meets on `micro_n512`: narrow items (widths 0.005–0.06) piled
+    /// into contours of 40 and more segments, some floating above it on
+    /// a floor, and now and then an item of width `≤ EPS` (which leaves
+    /// a sliver no overlap test sees) or of the full width. Queries span
+    /// the same widths plus `w ≤ EPS` and `w = 1`, with floors at zero,
+    /// inside the contour and above all of it. The tracked contour area
+    /// stays the sum over the segments.
+    #[test]
+    fn sweep_matches_scan_on_narrow_contours_and_edge_widths() {
+        use spp_core::eps::EPS;
+        use spp_core::hash::SplitMix64;
+        let mut widest = 0usize;
+        for case in 0..120u64 {
+            let mut rng = SplitMix64::new(case);
+            let mut sky = Skyline::new();
+            for _ in 0..160 {
+                let top = sky.max_height();
+                for _ in 0..4 {
+                    let w = match rng.next_below(8) {
+                        0 => EPS * rng.next_f64(),
+                        1 => EPS,
+                        2 => 1.0,
+                        3 => 0.06 + 0.94 * rng.next_f64(),
+                        _ => 0.005 + 0.055 * rng.next_f64(),
+                    };
+                    let min_y = match rng.next_below(4) {
+                        0 => 0.0,
+                        1 => top + 0.5 * rng.next_f64(),
+                        _ => top * rng.next_f64(),
+                    };
+                    assert_sweep_is_scan(&sky, w, min_y);
+                }
+                let w = match rng.next_below(60) {
+                    0 => EPS * rng.next_f64(),
+                    1 => 1.0,
+                    _ => 0.005 + 0.055 * rng.next_f64(),
+                };
+                let floor = if rng.next_below(6) == 0 {
+                    top * rng.next_f64()
+                } else {
+                    0.0
+                };
+                let (x, y) = sky.best_position(w, floor);
+                sky.place(x, y, w, 0.02 + 0.18 * rng.next_f64());
+                widest = widest.max(sky.segments().len());
+                let area: f64 = sky.segments().iter().map(|s| s.w * s.y).sum();
+                assert!((sky.area() - area).abs() <= 1e-12 * area.max(1.0));
+            }
+        }
+        assert!(widest >= 40, "contours reached only {widest} segments");
     }
 
     proptest! {

@@ -2,7 +2,7 @@
 //!
 //! The improvement kernel promises that after startup (scratch buffers
 //! sized, capacities ratcheted) each search round allocates nothing:
-//! `DecodeScratch` reuses the rank/floor/missing/heap buffers, the
+//! `DecodeScratch` reuses the rank/floor/missing/ready buffers, the
 //! skyline builds its contour into swapped scratch vectors, and order
 //! mutations rebuild through a mask into preallocated output. This test
 //! holds the kernel to that promise with a counting global allocator:

@@ -1465,32 +1465,30 @@ fn solve(request: &Request, state: &State) -> Reply {
         state.counters.solves.fetch_add(1, Ordering::Relaxed);
         // Improvement accounting belongs to fresh solves only: a cache
         // hit re-serves a result, it doesn't re-run the anytime loop.
-        if let Some(Ok(report)) = &cell.outcome {
-            if report.improve_rounds > 0 {
-                state
-                    .counters
-                    .improve_iterations
-                    .fetch_add(report.improve_rounds, Ordering::Relaxed);
-            }
-            if report.improve_streams > 0 {
-                state
-                    .counters
-                    .improve_streams
-                    .fetch_add(report.improve_streams, Ordering::Relaxed);
-            }
-            if report.improve_prunes > 0 {
-                state
-                    .counters
-                    .improve_envelope_prunes
-                    .fetch_add(report.improve_prunes, Ordering::Relaxed);
-            }
-            if report.improved() {
-                state
-                    .counters
-                    .improved_cells
-                    .fetch_add(1, Ordering::Relaxed);
-                state.counters.add_gain(report.improve_gain());
-            }
+        if cell.improve_rounds > 0 {
+            state
+                .counters
+                .improve_iterations
+                .fetch_add(cell.improve_rounds, Ordering::Relaxed);
+        }
+        if cell.improve_streams > 0 {
+            state
+                .counters
+                .improve_streams
+                .fetch_add(cell.improve_streams, Ordering::Relaxed);
+        }
+        if cell.improve_prunes > 0 {
+            state
+                .counters
+                .improve_envelope_prunes
+                .fetch_add(cell.improve_prunes, Ordering::Relaxed);
+        }
+        if let Some(seed) = cell.improved_from {
+            state
+                .counters
+                .improved_cells
+                .fetch_add(1, Ordering::Relaxed);
+            state.counters.add_gain((seed - cell.makespan).max(0.0));
         }
     }
     // The report carries exactly the portable cell fields — deterministic
