@@ -10,7 +10,7 @@
 //! * [`rngs::StdRng`] + [`SeedableRng::seed_from_u64`]
 //! * [`Rng::gen_range`] over `Range` / `RangeInclusive` of the common
 //!   integer types and `f64`/`f32`
-//! * [`Rng::gen_bool`], [`Rng::gen`], [`Rng::fill_bytes`]
+//! * [`Rng::gen_bool`], [`Rng::gen`], [`RngCore::fill_bytes`]
 
 pub mod rngs;
 

@@ -5,7 +5,7 @@
 //! [`execute_lease`](crate::work::execute_lease) over instance files (each
 //! shard, local lease and dispatched chunk), warm resumes of either — is a
 //! list of cells fed through [`execute_cells`]: look the cell up in the
-//! [`SolveCache`](crate::cache::SolveCache) (if one is attached), invoke
+//! [`SolveCache`] (if one is attached), invoke
 //! the solver only on a miss, write the portable outcome back, and
 //! return deterministically ordered results. There is no second
 //! execution path: attaching a cache dir *is* resume, and a warm rerun
@@ -207,7 +207,8 @@ pub fn classify_outcome(outcome: &Result<SolveReport, EngineError>) -> (CellStat
 ///
 /// Cache semantics:
 /// * a hit yields the stored portable fields and **no solver call** —
-///   `outcome` is `None`;
+///   `from_cache` is set, and `solve_time` and the improve counters are
+///   zero;
 /// * a miss solves, then stores the cell unless its placement failed
 ///   validation ([`CellStatus::Invalid`] marks a solver bug; caching it
 ///   would keep serving the bug after a fix);

@@ -210,6 +210,21 @@ pub fn entry_parse(text: &str) -> Result<(CacheKey, CachedCell), String> {
     ))
 }
 
+/// Parse the entry stored under `file_name`: the one rule every reader
+/// of a cache directory applies. The text must parse as an entry
+/// ([`entry_parse`]) and its embedded key must map back to `file_name` —
+/// a mis-filed entry can never be served, so it is damage, not an entry.
+pub fn entry_parse_named(text: &str, file_name: &str) -> Result<(CacheKey, CachedCell), String> {
+    let (key, cell) = entry_parse(text)?;
+    let expected = key.file_name();
+    if expected != file_name {
+        return Err(format!(
+            "entry key maps to file name {expected:?}, found under {file_name:?}"
+        ));
+    }
+    Ok((key, cell))
+}
+
 // ---------------------------------------------------------------------------
 // The trait and its stats
 // ---------------------------------------------------------------------------
@@ -279,11 +294,10 @@ pub trait SolveCache: Sync {
     /// overwritten only when `cell` is strictly better
     /// ([`CachedCell::better_than`]) — a worse result can never clobber
     /// an improved one, whichever machine or budget produced it. The
-    /// default forwards to [`put`](Self::put) (correct for backends
-    /// without cheap read-back, e.g. remote proxies whose server applies
-    /// the rule on its side); local backends override it with a
-    /// stats-free peek so the comparison does not distort hit/miss
-    /// counters.
+    /// default forwards to [`put`](Self::put), which is correct for the
+    /// HTTP backends: the cache server applies this rule to every
+    /// `PUT /cache`. Local backends override it with a stats-free peek so
+    /// the comparison does not distort hit/miss counters.
     fn put_best(&self, key: &CacheKey, cell: &CachedCell) -> Result<(), CacheError> {
         self.put(key, cell)
     }
@@ -417,7 +431,7 @@ impl DiskCache {
 
 impl SolveCache for DiskCache {
     fn get(&self, key: &CacheKey) -> Option<CachedCell> {
-        let path = self.dir.join(key.file_name());
+        let file_name = key.file_name();
         let miss = |rejected: bool| {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
             if rejected {
@@ -425,11 +439,11 @@ impl SolveCache for DiskCache {
             }
             None
         };
-        let text = match std::fs::read_to_string(&path) {
+        let text = match std::fs::read_to_string(self.dir.join(&file_name)) {
             Ok(t) => t,
             Err(_) => return miss(false),
         };
-        match entry_parse(&text) {
+        match entry_parse_named(&text, &file_name) {
             // Serve only when the *embedded* key matches the request —
             // this is what turns corruption, truncation, fingerprint
             // collisions and mis-filed entries into recomputation.
@@ -459,9 +473,10 @@ impl SolveCache for DiskCache {
         // incumbent does. The compare-then-rename window is racy in
         // principle, but both racers hold *valid* results for the same
         // cell, and the atomic rename keeps whichever landed last intact.
-        let incumbent = std::fs::read_to_string(self.dir.join(key.file_name()))
+        let file_name = key.file_name();
+        let incumbent = std::fs::read_to_string(self.dir.join(&file_name))
             .ok()
-            .and_then(|text| entry_parse(&text).ok())
+            .and_then(|text| entry_parse_named(&text, &file_name).ok())
             .filter(|(entry_key, _)| entry_key == key)
             .map(|(_, old)| old);
         if incumbent.is_some_and(|old| !cell.better_than(&old)) {
@@ -550,20 +565,10 @@ pub fn scan_dir(dir: &Path) -> Result<Vec<ScannedEntry>, CacheError> {
             .modified()
             .ok()
             .and_then(|m| std::time::SystemTime::now().duration_since(m).ok());
+        let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         let entry = std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
-            .and_then(|text| entry_parse(&text))
-            .and_then(|(key, cell)| {
-                let expected = key.file_name();
-                let actual = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-                if actual == expected {
-                    Ok((key, cell))
-                } else {
-                    Err(format!(
-                        "entry key maps to file name {expected:?}, found under {actual:?}"
-                    ))
-                }
-            });
+            .and_then(|text| entry_parse_named(&text, file_name));
         out.push(ScannedEntry {
             path,
             bytes,
@@ -637,7 +642,7 @@ pub fn dir_stats(dir: &Path) -> Result<DirStats, CacheError> {
     Ok(stats)
 }
 
-/// Outcome of [`gc_dir`] / [`gc_dir_aged`].
+/// Outcome of [`gc_dir`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GcReport {
     /// Files removed (corrupt, truncated, mis-filed, or orphaned temp
@@ -661,36 +666,29 @@ pub const TMP_GRACE: std::time::Duration = std::time::Duration::from_secs(60);
 
 /// Garbage-collect a cache directory: delete every `.json` file that is
 /// not a servable entry, plus every orphaned `*.tmp` file left behind by
-/// a writer that crashed between temp-write and rename. Valid entries are
-/// never touched — content-addressed keys cannot go *stale*, only
-/// damaged. To also bound the directory's size in time, use
-/// [`gc_dir_aged`] (the CLI's `spp cache gc --max-age`).
+/// a writer that crashed between temp-write and rename. Damaged files go
+/// whatever their age — content-addressed keys cannot go *stale*, only
+/// damaged.
+///
+/// With `max_age` (the CLI's `spp cache gc --max-age`) a *valid* entry
+/// whose file was last written at least that long ago is deleted too.
+/// Evicting a live entry is always safe — the cache is a pure
+/// memoization, so the cell simply recomputes (and re-publishes) on its
+/// next use; the knob trades disk for solve time on caches that accrete
+/// one-off workloads. Entries without a readable mtime are treated as
+/// fresh.
 ///
 /// Safe to run concurrently with live writers: a temp file younger than
 /// [`TMP_GRACE`] (or whose mtime is unreadable) is presumed to be an
 /// in-flight publish and left alone, so gc cannot yank a writer's file
 /// between its `fs::write` and `fs::rename` and fail the put.
-pub fn gc_dir(dir: &Path) -> Result<GcReport, CacheError> {
-    gc_dir_aged(dir, None)
-}
-
-/// [`gc_dir`] plus age-based eviction: a *valid* entry whose file was
-/// last written at least `max_age` ago is deleted too. Evicting a live
-/// entry is always safe — the cache is a pure memoization, so the cell
-/// simply recomputes (and re-publishes) on its next use; the knob trades
-/// disk for solve time on caches that accrete one-off workloads.
-/// Entries without a readable mtime are treated as fresh.
-pub fn gc_dir_aged(
-    dir: &Path,
-    max_age: Option<std::time::Duration>,
-) -> Result<GcReport, CacheError> {
+pub fn gc_dir(dir: &Path, max_age: Option<std::time::Duration>) -> Result<GcReport, CacheError> {
     gc_dir_with_grace(dir, max_age, TMP_GRACE)
 }
 
-/// [`gc_dir_aged`] with an explicit temp-file grace period. The public
-/// entry points always pass [`TMP_GRACE`]; tests pass `Duration::ZERO`
-/// to exercise the orphan sweep without waiting a minute.
-pub fn gc_dir_with_grace(
+/// [`gc_dir`] with an explicit temp-file grace period, so the tests can
+/// exercise the orphan sweep without waiting a minute.
+fn gc_dir_with_grace(
     dir: &Path,
     max_age: Option<std::time::Duration>,
     tmp_grace: std::time::Duration,
@@ -986,14 +984,14 @@ mod tests {
         assert_eq!(stats.configs, 1);
         assert!(stats.bytes > 0);
 
-        let gc = gc_dir(&dir).unwrap();
+        let gc = gc_dir(&dir, None).unwrap();
         assert_eq!(gc.kept, 3);
         assert_eq!(gc.removed.len(), 2);
         let after = dir_stats(&dir).unwrap();
         assert_eq!(after.entries, 3);
         assert_eq!(after.corrupt, 0);
         // gc is idempotent.
-        assert_eq!(gc_dir(&dir).unwrap().removed.len(), 0);
+        assert_eq!(gc_dir(&dir, None).unwrap().removed.len(), 0);
     }
 
     #[test]
@@ -1008,7 +1006,7 @@ mod tests {
         // Fresh files survive any realistic threshold; damage is swept
         // regardless, but the just-written tmp is inside its grace
         // period and must be left alone (it may be a live writer's).
-        let gc = gc_dir_aged(&dir, Some(std::time::Duration::from_secs(3600))).unwrap();
+        let gc = gc_dir(&dir, Some(std::time::Duration::from_secs(3600))).unwrap();
         assert_eq!(gc.kept, 2);
         assert_eq!(gc.expired, 0);
         assert_eq!(gc.removed.len(), 1, "{:?}", gc.removed);
@@ -1088,7 +1086,7 @@ mod tests {
         let in_flight = dir.join(format!("{}.{}-0.tmp", key("b").file_name(), 4242));
         std::fs::write(&in_flight, "half-written entry").unwrap();
 
-        let gc = gc_dir(&dir).unwrap();
+        let gc = gc_dir(&dir, None).unwrap();
         assert!(
             in_flight.exists(),
             "gc swept a temp file inside its grace period (live-writer race)"
@@ -1119,7 +1117,7 @@ mod tests {
                 Ok::<(), CacheError>(())
             });
             for _ in 0..50 {
-                gc_dir(&dir).unwrap();
+                gc_dir(&dir, None).unwrap();
             }
             writer
                 .join()

@@ -168,7 +168,7 @@ fn concurrent_distinct_key_writers_all_publish() {
         assert!(keys.contains(&k));
         assert_eq!(c, cell());
     }
-    let gc = spp_engine::cache::gc_dir(&dir).unwrap();
+    let gc = spp_engine::cache::gc_dir(&dir, None).unwrap();
     assert_eq!((gc.kept, gc.removed.len()), (32, 0), "temp debris leaked");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -36,10 +36,10 @@
 //! drifts away from its best.
 //!
 //! The decode inner loop is allocation-free on the steady state: one
-//! [`DecodeScratch`] (rank/floor/missing buffers, a ready set kept as a
+//! `DecodeScratch` (rank/floor/missing buffers, a ready set kept as a
 //! bitset over priority rank, the chain tails, and the working placement
 //! and skyline) is reused across rounds, the band occupancy used by the
-//! worst-waste strategy lives in an event-sweep [`BandIndex`] rebuilt
+//! worst-waste strategy lives in an event-sweep `BandIndex` rebuilt
 //! only when the incumbent changes, and order mutations rebuild through
 //! a boolean mask in a single pass instead of `retain` + per-element
 //! `insert`.

@@ -11,7 +11,9 @@
 //! Wasted height per shelf is bounded by the bucketing ratio `r`, which
 //! is how the online competitive analysis goes through; this
 //! implementation exposes the live height so the online-vs-offline gap
-//! can be measured (experiment E13).
+//! can be measured (experiment E13). Each insert takes a floor, so the
+//! same packer with release times as floors is the shelf policy of
+//! `spp_release::online::simulate`.
 
 use spp_core::{Instance, Placement};
 
@@ -60,23 +62,29 @@ impl OnlineShelfPacker {
         k
     }
 
-    /// Place one rectangle; returns its `(x, y)`.
-    pub fn insert(&mut self, w: f64, h: f64) -> (f64, f64) {
+    /// Place one rectangle no lower than `floor` (its release time in the
+    /// online-with-releases setting, 0 otherwise); returns its `(x, y)`.
+    /// A shelf that starts below the floor is skipped.
+    pub fn insert(&mut self, w: f64, h: f64, floor: f64) -> (f64, f64) {
         assert!(w > 0.0 && w <= 1.0 && h > 0.0);
         let class = self.class_of(h);
-        // first fit among open shelves of this class
+        // first fit among open shelves of this class at or above the floor
         for s in &mut self.shelves {
-            if s.class == class && s.used + w <= 1.0 + spp_core::eps::EPS {
+            if s.class == class
+                && s.used + w <= 1.0 + spp_core::eps::EPS
+                && s.y + spp_core::eps::EPS >= floor
+            {
                 let pos = (s.used, s.y);
                 s.used += w;
                 return pos;
             }
         }
-        // open a new shelf of nominal height r^class at the top
+        // open a new shelf of nominal height r^class at the top, or at
+        // the floor when that is higher
         let nominal = self.r.powi(class);
         debug_assert!(h <= nominal + 1e-9, "item taller than its shelf class");
-        let y = self.top;
-        self.top += nominal;
+        let y = self.top.max(floor);
+        self.top = y + nominal;
         self.shelves.push(OpenShelf { class, y, used: w });
         (0.0, y)
     }
@@ -98,7 +106,7 @@ pub fn online_shelf_pack(inst: &Instance, r: f64) -> Placement {
     let mut packer = OnlineShelfPacker::new(r);
     let mut pl = Placement::zeroed(inst.len());
     for it in inst.items() {
-        let (x, y) = packer.insert(it.w, it.h);
+        let (x, y) = packer.insert(it.w, it.h, 0.0);
         pl.set(it.id, x, y);
     }
     pl
@@ -113,8 +121,8 @@ mod tests {
     fn same_class_items_share_shelves() {
         let mut p = OnlineShelfPacker::new(0.5);
         // heights in (0.5, 1] share class 0 (nominal height 1)
-        let (x0, y0) = p.insert(0.4, 0.9);
-        let (x1, y1) = p.insert(0.4, 0.6);
+        let (x0, y0) = p.insert(0.4, 0.9, 0.0);
+        let (x1, y1) = p.insert(0.4, 0.6, 0.0);
         assert_eq!((x0, y0), (0.0, 0.0));
         assert_eq!(y1, 0.0);
         assert!(x1 > 0.0);
@@ -125,8 +133,8 @@ mod tests {
     #[test]
     fn different_classes_get_different_shelves() {
         let mut p = OnlineShelfPacker::new(0.5);
-        p.insert(0.4, 0.9); // class 0
-        p.insert(0.4, 0.3); // class 1 (nominal 0.5)
+        p.insert(0.4, 0.9, 0.0); // class 0
+        p.insert(0.4, 0.3, 0.0); // class 1 (nominal 0.5)
         assert_eq!(p.shelf_count(), 2);
         spp_core::assert_close!(p.height(), 1.5);
     }
@@ -134,8 +142,8 @@ mod tests {
     #[test]
     fn full_shelf_opens_new_same_class() {
         let mut p = OnlineShelfPacker::new(0.5);
-        p.insert(0.7, 1.0);
-        let (_, y) = p.insert(0.7, 1.0);
+        p.insert(0.7, 1.0, 0.0);
+        let (_, y) = p.insert(0.7, 1.0, 0.0);
         spp_core::assert_close!(y, 1.0);
         assert_eq!(p.shelf_count(), 2);
     }
@@ -143,7 +151,7 @@ mod tests {
     #[test]
     fn heights_above_one_are_supported() {
         let mut p = OnlineShelfPacker::new(0.5);
-        p.insert(0.5, 1.7); // class -1 (nominal 2.0)
+        p.insert(0.5, 1.7, 0.0); // class -1 (nominal 2.0)
         spp_core::assert_close!(p.height(), 2.0);
     }
 

@@ -11,13 +11,14 @@
 //! * **skyline** — drop the arriving task at the lowest-leftmost skyline
 //!   position at or above its release time (spatial backfilling);
 //! * **shelf** — geometric height classes as in online strip packing
-//!   (Csirik–Woeginger), with shelves opened no lower than the release.
+//!   (Csirik–Woeginger): [`OnlineShelfPacker`] with each task's release
+//!   as its floor, so no shelf it joins or opens starts before it.
 //!
 //! Besides the makespan, the simulator reports per-task *waiting times*
 //! (`start − release`), the metric an OS paper would care about.
 
 use spp_core::{Instance, Placement};
-use spp_pack::Skyline;
+use spp_pack::{OnlineShelfPacker, Skyline};
 
 /// Which online policy to simulate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,50 +66,11 @@ pub fn simulate(inst: &Instance, policy: OnlinePolicy) -> OnlineOutcome {
             }
         }
         OnlinePolicy::Shelf { r } => {
-            assert!(r > 0.0 && r < 1.0, "bucketing ratio must be in (0,1)");
-            // open shelves: (class, y, used, nominal)
-            struct Shelf {
-                class: i32,
-                y: f64,
-                used: f64,
-            }
-            let mut shelves: Vec<Shelf> = Vec::new();
-            let mut top = 0.0f64;
-            let class_of = |h: f64| -> i32 {
-                let mut k = (h.ln() / r.ln()).floor() as i32;
-                while r.powi(k) < h - spp_core::eps::EPS {
-                    k -= 1;
-                }
-                while r.powi(k + 1) >= h - spp_core::eps::EPS {
-                    k += 1;
-                }
-                k
-            };
+            let mut packer = OnlineShelfPacker::new(r);
             for &id in &order {
                 let it = inst.item(id);
-                let class = class_of(it.h);
-                let mut placed = false;
-                for s in &mut shelves {
-                    if s.class == class
-                        && s.used + it.w <= 1.0 + spp_core::eps::EPS
-                        && s.y + spp_core::eps::EPS >= it.release
-                    {
-                        pl.set(id, s.used, s.y);
-                        s.used += it.w;
-                        placed = true;
-                        break;
-                    }
-                }
-                if !placed {
-                    let y = top.max(it.release);
-                    pl.set(id, 0.0, y);
-                    top = y + r.powi(class);
-                    shelves.push(Shelf {
-                        class,
-                        y,
-                        used: it.w,
-                    });
-                }
+                let (x, y) = packer.insert(it.w, it.h, it.release);
+                pl.set(id, x, y);
             }
         }
     }
@@ -204,6 +166,38 @@ mod tests {
                 opt_f
             );
         }
+    }
+
+    /// Pins every `online-shelf` placement bit for bit: an FNV-1a over the
+    /// position bits of Poisson queues at three seeds and a suite, each
+    /// packed at three bucketing ratios.
+    #[test]
+    fn shelf_placements_are_pinned() {
+        let mut corpus: Vec<Instance> = [3, 11, 29]
+            .into_iter()
+            .map(|seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                spp_gen::release::poisson_arrivals(&mut rng, 60, 0.2, params())
+            })
+            .collect();
+        corpus.extend(
+            spp_gen::suite::suite(7, 32, 16)
+                .into_iter()
+                .map(|s| s.prec.inst),
+        );
+        let mut h = spp_core::hash::Fnv1a::new();
+        for inst in &corpus {
+            for r in [0.5, 0.622, 0.8] {
+                for p in simulate(inst, OnlinePolicy::Shelf { r })
+                    .placement
+                    .positions()
+                {
+                    h.write(&p.x.to_bits().to_le_bytes());
+                    h.write(&p.y.to_bits().to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(h.finish(), 0x5d2e_bdff_7361_d9df, "{:#018x}", h.finish());
     }
 
     proptest! {

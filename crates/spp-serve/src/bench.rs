@@ -1,15 +1,16 @@
 //! In-repo load generator for the serving layer — the measurement half
 //! of "serves heavy traffic": `spp bench serve` drives a target endpoint
 //! with N concurrent clients and reports RPS plus latency quantiles from
-//! a [`Hist`](spp_core::hist::Hist), so every serving change has a
+//! a [`Hist`], so every serving change has a
 //! number to diff against (`BENCH_SERVE.json`).
 //!
 //! Two transport modes, deliberately the two paths production code can
 //! take:
 //!
 //! * [`Mode::Keepalive`] — each client thread reuses one persistent
-//!   connection via [`http::pooled_roundtrip`], exactly the transport
-//!   `HttpCache` and `RemoteLease` ride;
+//!   connection via [`http::pooled_roundtrip`], the pooled exchange
+//!   `HttpCache` and `RemoteLease` ride (without their token and retry,
+//!   so every failure is counted);
 //! * [`Mode::Close`] — one connection per request
 //!   ([`http::roundtrip`]), the pre-keep-alive behavior, kept as the
 //!   baseline that keep-alive must beat.

@@ -17,18 +17,20 @@
 //! malicious server — or a config-fingerprint collision — degrades to
 //! recomputation, exactly like a damaged file in a `DiskCache` directory.
 //!
-//! Transient transport faults get **one bounded retry**
-//! ([`http::roundtrip_retry_auth`]): a reset connection or timeout on `get`
-//! or `put` sleeps briefly and tries once more before the usual
-//! degradation applies (cold-cache miss on `get`, loud error on `put`),
-//! so a momentarily busy server does not turn a warm run cold.
+//! The server keeps the **best-so-far rule** on every `PUT`: an entry is
+//! replaced only by a strictly better cell, so the trait's default
+//! `put_best` (a plain `put`) keeps it too.
 //!
-//! Transport is **pooled keep-alive**: each calling thread reuses one
-//! persistent connection per server ([`http::pooled_roundtrip`]), so a
-//! warm batch run pays TCP setup once per thread, not once per cell. A
-//! pooled socket the server closed in the meantime (idle timeout,
-//! request budget) is replaced transparently — that race is expected,
-//! not a fault, and does not consume the bounded retry.
+//! Transport is one [`http::Client`] per server: each calling thread
+//! reuses one pooled keep-alive connection to it, so a warm batch run
+//! pays TCP setup once per thread, not once per cell; the fleet's bearer
+//! token rides every request; and a transient fault (reset connection,
+//! timeout) gets **one bounded retry** before the usual degradation
+//! applies (cold-cache miss on `get`, loud error on `put`), so a
+//! momentarily busy server does not turn a warm run cold. A pooled
+//! socket the server closed in the meantime (idle timeout, request
+//! budget) is replaced transparently — that race is expected, not a
+//! fault, and does not consume the retry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,14 +41,8 @@ use crate::http;
 
 /// A [`SolveCache`] served over HTTP by `spp serve`.
 pub struct HttpCache {
-    /// `host:port` of the server.
-    authority: String,
-    /// Base URL as given (for error messages).
-    url: String,
+    client: http::Client,
     readonly: bool,
-    /// Bearer token attached to every request (`Authorization: Bearer …`)
-    /// when the server requires one.
-    token: Option<String>,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
@@ -54,20 +50,20 @@ pub struct HttpCache {
 }
 
 impl HttpCache {
-    /// Parse a base URL of the form `http://host:port` (a trailing slash
-    /// is tolerated; any path prefix, scheme other than `http`, or
-    /// missing port is an error — explicit beats guessed for a cache
-    /// that silently degrades to misses on any mismatch).
-    pub fn new(url: &str, readonly: bool) -> Result<HttpCache, CacheError> {
-        let authority = http::parse_base_url(url).map_err(|err| CacheError::Io {
+    /// A cache client of `url` (`http://host:port`: a trailing slash is
+    /// tolerated; any path prefix, scheme other than `http`, or missing
+    /// port is an error — explicit beats guessed for a cache that
+    /// silently degrades to misses on any mismatch). `token` is sent
+    /// with every request — required when the server runs with
+    /// `--token-file`.
+    pub fn new(url: &str, readonly: bool, token: Option<String>) -> Result<HttpCache, CacheError> {
+        let client = http::Client::new(url, token).map_err(|err| CacheError::Io {
             path: url.to_string(),
             err: format!("cache {err}"),
         })?;
         Ok(HttpCache {
-            authority,
-            url: url.to_string(),
+            client,
             readonly,
-            token: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -75,16 +71,9 @@ impl HttpCache {
         })
     }
 
-    /// Attach a bearer token sent with every request — required when the
-    /// server runs with `--token-file`.
-    pub fn with_token(mut self, token: Option<String>) -> HttpCache {
-        self.token = token;
-        self
-    }
-
     /// The base URL this client targets.
     pub fn url(&self) -> &str {
-        &self.url
+        self.client.url()
     }
 
     /// True iff `put` never writes.
@@ -108,17 +97,11 @@ impl HttpCache {
             return PutOutcome::Written;
         }
         let body = entry_to_json(key, cell);
-        let response = match http::roundtrip_retry_auth(
-            &self.authority,
-            "PUT",
-            &Self::path_for(key),
-            &body,
-            self.token.as_deref(),
-        ) {
+        let response = match self.client.call("PUT", &Self::path_for(key), &body) {
             Ok(r) => r,
             Err(e) => {
                 return PutOutcome::Unreachable(CacheError::Io {
-                    path: self.url.clone(),
+                    path: self.url().to_string(),
                     err: e.to_string(),
                 })
             }
@@ -129,7 +112,7 @@ impl HttpCache {
                 PutOutcome::Written
             }
             status => PutOutcome::Rejected(CacheError::Io {
-                path: self.url.clone(),
+                path: self.url().to_string(),
                 err: format!("PUT rejected with HTTP {status}: {}", response.body.trim()),
             }),
         }
@@ -157,13 +140,7 @@ impl SolveCache for HttpCache {
             }
             None
         };
-        let response = match http::roundtrip_retry_auth(
-            &self.authority,
-            "GET",
-            &Self::path_for(key),
-            "",
-            self.token.as_deref(),
-        ) {
+        let response = match self.client.call("GET", &Self::path_for(key), "") {
             Ok(r) => r,
             Err(_) => return miss(false), // unreachable server = cold cache
         };
@@ -205,8 +182,8 @@ mod tests {
 
     #[test]
     fn url_parsing_accepts_host_port_only() {
-        assert!(HttpCache::new("http://127.0.0.1:8080", false).is_ok());
-        assert!(HttpCache::new("http://localhost:8080/", false).is_ok());
+        assert!(HttpCache::new("http://127.0.0.1:8080", false, None).is_ok());
+        assert!(HttpCache::new("http://localhost:8080/", false, None).is_ok());
         for bad in [
             "127.0.0.1:8080",            // no scheme
             "https://127.0.0.1:8080",    // wrong scheme
@@ -215,8 +192,13 @@ mod tests {
             "http://127.0.0.1:80/cache", // path prefix
             "http://",                   // empty authority
         ] {
-            assert!(HttpCache::new(bad, false).is_err(), "{bad} accepted");
+            assert!(HttpCache::new(bad, false, None).is_err(), "{bad} accepted");
         }
+        let err = HttpCache::new("127.0.0.1:8080", false, None).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "cache: 127.0.0.1:8080: cache URL must start with http://"
+        );
     }
 
     /// A stub cache server whose first `fail_first` connections are
@@ -261,7 +243,12 @@ mod tests {
                 } else {
                     (204, "")
                 };
-                let _ = http::write_response(&stream, status, "application/json", reply);
+                let _ = http::write_message(
+                    &stream,
+                    format_args!("HTTP/1.1 {status} {}", http::reason(status)),
+                    &[("Connection", "close")],
+                    reply,
+                );
             }
         });
         addr
@@ -285,32 +272,32 @@ mod tests {
         // First connection dies, the retry lands: the get is a HIT, not
         // a cold-cache miss.
         let addr = flaky_stub(body.clone(), 1, 2);
-        let cache = HttpCache::new(&format!("http://{addr}"), false).unwrap();
+        let cache = HttpCache::new(&format!("http://{addr}"), false, None).unwrap();
         assert_eq!(cache.get(&k), Some(c));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 0);
 
         // Same for put: one flaky accept, then the write succeeds.
         let addr = flaky_stub(body.clone(), 1, 2);
-        let cache = HttpCache::new(&format!("http://{addr}"), false).unwrap();
+        let cache = HttpCache::new(&format!("http://{addr}"), false, None).unwrap();
         assert!(cache.put(&k, &c).is_ok());
         assert_eq!(cache.stats().writes, 1);
 
         // Both attempts failing degrades as documented: get is a miss,
         // put is a loud error — the retry budget is bounded.
         let addr = flaky_stub(body, 2, 2);
-        let cache = HttpCache::new(&format!("http://{addr}"), false).unwrap();
+        let cache = HttpCache::new(&format!("http://{addr}"), false, None).unwrap();
         assert_eq!(cache.get(&k), None);
         assert_eq!(cache.stats().misses, 1);
         let addr = flaky_stub(String::new(), 2, 2);
-        let cache = HttpCache::new(&format!("http://{addr}"), false).unwrap();
+        let cache = HttpCache::new(&format!("http://{addr}"), false, None).unwrap();
         assert!(cache.put(&k, &c).is_err());
     }
 
     #[test]
     fn unreachable_server_is_a_cold_cache_not_an_error() {
         // Reserved TEST-NET address: connect fails fast.
-        let cache = HttpCache::new("http://127.0.0.1:1", false).unwrap();
+        let cache = HttpCache::new("http://127.0.0.1:1", false, None).unwrap();
         let key = CacheKey {
             digest: spp_core::InstanceDigest::of_canonical_json("x"),
             solver: "nfdh".into(),
@@ -328,7 +315,7 @@ mod tests {
         };
         assert!(cache.put(&key, &cell).is_err());
         // …unless the client is read-only, where put is a contractual no-op.
-        let ro = HttpCache::new("http://127.0.0.1:1", true).unwrap();
+        let ro = HttpCache::new("http://127.0.0.1:1", true, None).unwrap();
         assert!(ro.put(&key, &cell).is_ok());
         assert_eq!(ro.stats().writes, 0);
     }

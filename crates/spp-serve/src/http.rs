@@ -26,13 +26,23 @@
 //! deadline ([`HttpError::Deadline`], the slowloris guard) from a
 //! genuinely broken or malformed exchange.
 //!
-//! The client side keeps one open [`Conn`] per `(thread, authority)` in
-//! a thread-local pool ([`pooled_roundtrip`]), reconnecting
-//! transparently when a pooled socket has gone stale — the server may
-//! have closed it for idleness or budget exhaustion between our
-//! requests, which is an expected race, not an error. Only a *reused*
-//! socket earns that silent reconnect; a failure on a fresh connection
-//! propagates, so a dead server still fails loudly.
+//! Both directions share one message layer: [`read_request`] and
+//! [`read_response`] read their headers through one head reader, so a
+//! response is framed by exactly the rules the server applies to
+//! requests (one valid `Content-Length`, at most [`MAX_HEADERS`]
+//! headers), and [`write_message`] writes requests and responses alike.
+//!
+//! The client side is [`Client`]: a base URL plus an optional bearer
+//! token, whose calls ride one open [`Conn`] per `(thread, authority)`
+//! in a thread-local pool, reconnecting transparently when a pooled
+//! socket has gone stale — the server may have closed it for idleness
+//! or budget exhaustion between our requests, which is an expected
+//! race, not an error. Only a *reused* socket earns that silent
+//! reconnect; a failure on a fresh connection propagates, so a dead
+//! server still fails loudly (after the client's one bounded retry).
+//! [`pooled_roundtrip`] is the same pooled exchange without token or
+//! retry, for load generators that must count every failure, and
+//! [`roundtrip`] is a one-shot `Connection: close` exchange.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -416,48 +426,10 @@ pub fn read_request(
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::Bad(format!("unsupported version {version:?}")));
     }
-
-    let mut content_length: Option<usize> = None;
-    let mut connection: Option<String> = None;
-    let mut authorization: Option<String> = None;
-    let mut saw_header_end = false;
-    for _ in 0..=MAX_HEADERS {
-        let line = read_line(&mut msg, false)?;
-        if line.is_empty() {
-            saw_header_end = true;
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::Bad(format!("malformed header {line:?}")));
-        };
-        if name.eq_ignore_ascii_case("content-length") {
-            // RFC 9112 §6.3: conflicting Content-Length values are a
-            // request-smuggling vector — a front proxy and this server
-            // picking different framings would let one request hide
-            // inside another's body. A repeated header is rejected
-            // outright (even if the values agree: a legitimate client
-            // has no reason to send it twice); a comma-separated list
-            // is accepted only when every member is the same value.
-            if content_length.is_some() {
-                return Err(HttpError::Bad("duplicate Content-Length header".into()));
-            }
-            content_length = Some(parse_content_length(value)?);
-        } else if name.eq_ignore_ascii_case("connection") {
-            connection = Some(value.trim().to_string());
-        } else if name.eq_ignore_ascii_case("authorization") {
-            authorization = Some(value.trim().to_string());
-        }
-        // Every other header (Host, User-Agent, Accept, …) is irrelevant
-        // to this API and skipped.
-    }
-    if !saw_header_end {
-        // Exiting by loop exhaustion would leave unread header bytes that
-        // a Content-Length body read would then misinterpret — reject.
-        return Err(HttpError::Bad(format!("more than {MAX_HEADERS} headers")));
-    }
+    let head = read_head(&mut msg, version)?;
 
     let needs_body = matches!(method, "PUT" | "POST");
-    let body = match content_length {
+    let body = match head.content_length {
         None if needs_body => return Err(HttpError::LengthRequired),
         None | Some(0) => String::new(),
         Some(n) if n > max_body => return Err(HttpError::TooLarge { limit: max_body }),
@@ -473,9 +445,59 @@ pub fn read_request(
         path,
         query,
         body,
-        authorization,
-        close: connection_closes(version, connection.as_deref()),
+        authorization: head.authorization,
+        close: head.close,
     })
+}
+
+/// The header fields this layer acts on, as [`read_head`] found them.
+struct Head {
+    content_length: Option<usize>,
+    /// Raw `Authorization` value (requests only carry one).
+    authorization: Option<String>,
+    /// The message ends its connection ([`connection_closes`]).
+    close: bool,
+}
+
+/// Read the header block after a start line — at most [`MAX_HEADERS`]
+/// headers, then a blank line — for requests and responses alike.
+fn read_head(msg: &mut MsgIn<'_>, version: &str) -> Result<Head, HttpError> {
+    let mut head = Head {
+        content_length: None,
+        authorization: None,
+        close: connection_closes(version, None),
+    };
+    for _ in 0..=MAX_HEADERS {
+        let line = read_line(msg, false)?;
+        if line.is_empty() {
+            return Ok(head);
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(HttpError::Bad(format!("malformed header {line:?}")));
+        };
+        if name.eq_ignore_ascii_case("content-length") {
+            // RFC 9112 §6.3: conflicting Content-Length values are a
+            // request-smuggling vector — two hops picking different
+            // framings would let one message hide inside another's
+            // body. A repeated header is rejected outright (even if the
+            // values agree: a legitimate peer has no reason to send it
+            // twice); a comma-separated list is accepted only when every
+            // member is the same value.
+            if head.content_length.is_some() {
+                return Err(HttpError::Bad("duplicate Content-Length header".into()));
+            }
+            head.content_length = Some(parse_content_length(value)?);
+        } else if name.eq_ignore_ascii_case("connection") {
+            head.close = connection_closes(version, Some(value));
+        } else if name.eq_ignore_ascii_case("authorization") {
+            head.authorization = Some(value.trim().to_string());
+        }
+        // Every other header (Host, User-Agent, Accept, …) is irrelevant
+        // to this API and skipped.
+    }
+    // Exiting by loop exhaustion would leave unread header bytes that a
+    // Content-Length body read would then misinterpret — reject.
+    Err(HttpError::Bad(format!("more than {MAX_HEADERS} headers")))
 }
 
 /// Parse one `Content-Length` header value. A comma-separated list is
@@ -521,61 +543,27 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write one complete `Content-Length`-framed response. With `close`
-/// the response announces `Connection: close` and the caller is expected
-/// to drop the socket; otherwise the connection stays open for the next
-/// request (HTTP/1.1 default — no header needed, but an explicit
-/// `keep-alive` is written so 1.0-era intermediaries behave).
-pub fn write_response_conn(
+/// Write one complete message — a request or a response: `start_line`,
+/// each header as `name: value` (a header with an empty value is left
+/// out), the body's `Content-Length`, a blank line and `body`. Names and
+/// values are written verbatim; callers pass only ASCII without CR/LF.
+pub fn write_message(
     stream: &TcpStream,
-    status: u16,
-    content_type: &str,
+    start_line: std::fmt::Arguments<'_>,
+    headers: &[(&str, &str)],
     body: &str,
-    close: bool,
 ) -> Result<(), HttpError> {
-    write_response_headers(stream, status, content_type, body, close, &[])
-}
-
-/// [`write_response_conn`] with additional response headers — the shape
-/// the server uses for statuses that carry mandatory metadata (401's
-/// `WWW-Authenticate: Bearer`). Header names and values are written
-/// verbatim; callers pass only fixed ASCII strings.
-pub fn write_response_headers(
-    stream: &TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    close: bool,
-    extra: &[(&str, &str)],
-) -> Result<(), HttpError> {
-    let mut stream = stream;
-    let connection = if close { "close" } else { "keep-alive" };
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
-        reason(status),
-        body.len()
-    );
-    for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+    use std::fmt::Write as _;
+    let mut head = String::with_capacity(256);
+    let _ = write!(head, "{start_line}\r\n");
+    for (name, value) in headers.iter().filter(|(_, value)| !value.is_empty()) {
+        let _ = write!(head, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
+    let _ = write!(head, "Content-Length: {}\r\n\r\n", body.len());
+    let mut stream = stream;
     stream.write_all(head.as_bytes()).map_err(io_error)?;
     stream.write_all(body.as_bytes()).map_err(io_error)?;
     stream.flush().map_err(io_error)
-}
-
-/// [`write_response_conn`] with `Connection: close` — the one-shot shape
-/// kept for single-response stubs (tests) and terminal error replies.
-pub fn write_response(
-    stream: &TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> Result<(), HttpError> {
-    write_response_conn(stream, status, content_type, body, true)
 }
 
 /// A parsed response on the client side.
@@ -588,59 +576,33 @@ pub struct Response {
     pub close: bool,
 }
 
-/// Read one response from a connection's [`RecvBuf`]. Bodies are framed
-/// by `Content-Length`; a response without one is legal only on a
-/// closing connection (read-until-EOF), which this layer's own server
-/// never produces but foreign/stub servers may.
+/// Read one response from a connection's [`RecvBuf`], under the header
+/// rules of [`read_request`]. The body is framed by `Content-Length`
+/// alone: every response of this crate's server carries one, so a
+/// response without a valid one is [`HttpError::Bad`] — never a
+/// read-until-EOF that would block on a keep-alive peer.
 pub fn read_response(stream: &TcpStream, buf: &mut RecvBuf) -> Result<Response, HttpError> {
     let mut msg = MsgIn::new(stream, buf, None, false);
     let status_line = read_line(&mut msg, true)?;
-    let mut head = status_line.split(' ');
-    let version = head.next().unwrap_or("");
-    let status: u16 = head
+    let mut parts = status_line.split(' ');
+    let version = parts.next().unwrap_or("");
+    let status: u16 = parts
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| HttpError::Bad(format!("malformed status line {status_line:?}")))?;
-    let mut content_length: Option<usize> = None;
-    let mut connection: Option<String> = None;
-    for _ in 0..=MAX_HEADERS {
-        let line = read_line(&mut msg, false)?;
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok();
-            } else if name.eq_ignore_ascii_case("connection") {
-                connection = Some(value.trim().to_string());
-            }
-        }
-    }
-    let mut close = connection_closes(version, connection.as_deref());
-    let body = match content_length {
-        Some(n) => read_body(&mut msg, n)?,
-        // No Content-Length: the only sound framing left is till-EOF,
-        // after which the connection is necessarily done.
-        None => {
-            close = true;
-            let mut raw = Vec::new();
-            loop {
-                let mut chunk = [0u8; 4096];
-                match msg.read_into(&mut chunk)? {
-                    0 => break,
-                    k => raw.extend_from_slice(&chunk[..k]),
-                }
-            }
-            String::from_utf8(raw).map_err(|_| HttpError::Bad("non-UTF-8 body".into()))?
-        }
+    let head = read_head(&mut msg, version)?;
+    let Some(length) = head.content_length else {
+        return Err(HttpError::Bad("response without Content-Length".into()));
     };
     Ok(Response {
         status,
-        body,
-        close,
+        body: read_body(&mut msg, length)?,
+        close: head.close,
     })
 }
 
+/// Write one request: `Host`, the bearer token when given, and
+/// `Connection: close` for a one-shot exchange.
 fn write_request(
     stream: &TcpStream,
     authority: &str,
@@ -650,26 +612,24 @@ fn write_request(
     close: bool,
     token: Option<&str>,
 ) -> Result<(), HttpError> {
-    let mut w = stream;
-    let connection = if close { "Connection: close\r\n" } else { "" };
-    let auth = match token {
-        Some(t) => format!("Authorization: Bearer {t}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "{method} {path_and_query} HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {}\r\n{auth}{connection}\r\n",
-        body.len()
-    );
-    w.write_all(head.as_bytes()).map_err(io_error)?;
-    w.write_all(body.as_bytes()).map_err(io_error)?;
-    w.flush().map_err(io_error)
+    let bearer = token.map(|t| format!("Bearer {t}"));
+    write_message(
+        stream,
+        format_args!("{method} {path_and_query} HTTP/1.1"),
+        &[
+            ("Host", authority),
+            ("Authorization", bearer.as_deref().unwrap_or("")),
+            ("Connection", if close { "close" } else { "" }),
+        ],
+        body,
+    )
 }
 
 /// Parse a base URL of the form `http://host:port` into its authority.
 /// A trailing slash is tolerated; any path prefix, scheme other than
 /// `http`, or missing port is an error — explicit beats guessed for
-/// clients that would otherwise silently degrade on a mismatch. Shared
-/// by every client of this crate (`HttpCache`, `RemoteLease`).
+/// clients that would otherwise silently degrade on a mismatch.
+/// [`Client::new`] applies it to every client of this crate.
 pub fn parse_base_url(url: &str) -> Result<String, String> {
     let rest = url
         .strip_prefix("http://")
@@ -728,21 +688,11 @@ impl Conn {
         self.requests
     }
 
-    /// One request/response exchange, keep-alive framing. The
+    /// One request/response exchange, keep-alive framing, with
+    /// `token` (when given) sent as `Authorization: Bearer <token>`. The
     /// connection-long [`RecvBuf`] keeps framing honest even if a
     /// server were to send ahead of our next request.
     pub fn call(
-        &mut self,
-        method: &str,
-        path_and_query: &str,
-        body: &str,
-    ) -> Result<Response, HttpError> {
-        self.call_auth(method, path_and_query, body, None)
-    }
-
-    /// [`Conn::call`] with a bearer token attached as
-    /// `Authorization: Bearer <token>`.
-    pub fn call_auth(
         &mut self,
         method: &str,
         path_and_query: &str,
@@ -807,17 +757,7 @@ pub fn pool_evict(authority: &str) {
 /// the request twice; every endpoint behind this client tolerates that
 /// (cache puts are idempotent, an orphaned work lease is requeued by the
 /// dispatcher — see `work_client.rs`).
-pub fn pooled_roundtrip(
-    authority: &str,
-    method: &str,
-    path_and_query: &str,
-    body: &str,
-) -> Result<Response, HttpError> {
-    pooled_roundtrip_auth(authority, method, path_and_query, body, None)
-}
-
-/// [`pooled_roundtrip`] with a bearer token attached to the request.
-pub fn pooled_roundtrip_auth(
+fn pooled_exchange(
     authority: &str,
     method: &str,
     path_and_query: &str,
@@ -825,7 +765,7 @@ pub fn pooled_roundtrip_auth(
     token: Option<&str>,
 ) -> Result<Response, HttpError> {
     if let Some(mut conn) = pool_take(authority) {
-        if let Ok(response) = conn.call_auth(method, path_and_query, body, token) {
+        if let Ok(response) = conn.call(method, path_and_query, body, token) {
             if !response.close {
                 pool_put(conn);
             }
@@ -834,57 +774,96 @@ pub fn pooled_roundtrip_auth(
         // Stale pooled socket; fall through to a fresh connection.
     }
     let mut conn = Conn::connect(authority)?;
-    let response = conn.call_auth(method, path_and_query, body, token)?;
+    let response = conn.call(method, path_and_query, body, token)?;
     if !response.close {
         pool_put(conn);
     }
     Ok(response)
 }
 
-/// Delay between the two attempts of [`roundtrip_retry_auth`].
-pub const RETRY_DELAY: Duration = Duration::from_millis(50);
-
-/// [`pooled_roundtrip_auth`] with one bounded retry: any failure of the
-/// first attempt — refused/reset connection, timeout, or a response cut
-/// off mid-frame — sleeps [`RETRY_DELAY`] and tries once more before the
-/// error stands. One retry rides out the transient blips of a busy or
-/// restarting server; keeping it *bounded* keeps a hard failure loud
-/// (an unreachable cache degrades to cold-cache misses, an unreachable
-/// dispatcher errors) instead of becoming an unbounded hang. `token`,
-/// when set, is sent as a bearer token.
-pub fn roundtrip_retry_auth(
+/// The pooled exchange to `authority` (a `host:port` string) with no
+/// token and no retry — the transport of load generators, which must
+/// count every failure a retry would hide. Production clients use
+/// [`Client`].
+pub fn pooled_roundtrip(
     authority: &str,
     method: &str,
     path_and_query: &str,
     body: &str,
-    token: Option<&str>,
 ) -> Result<Response, HttpError> {
-    spp_par::retry(2, RETRY_DELAY, |_| {
-        pooled_roundtrip_auth(authority, method, path_and_query, body, token)
-    })
+    pooled_exchange(authority, method, path_and_query, body, None)
+}
+
+/// Delay between the two attempts of [`Client::call`].
+pub const RETRY_DELAY: Duration = Duration::from_millis(50);
+
+/// A client of one `spp serve` / `spp dispatch` base URL: `HttpCache`,
+/// every `ShardedCache` node and `RemoteLease` each hold one. Every call
+/// rides this thread's pooled connection to the server and carries the
+/// bearer token, when one is set.
+pub struct Client {
+    /// Base URL as given (for error messages).
+    url: String,
+    /// `host:port` of the server.
+    authority: String,
+    /// Sent as `Authorization: Bearer <token>` — required by a server
+    /// started with `--token-file`.
+    token: Option<String>,
+}
+
+impl Client {
+    /// A client of `url` (`http://host:port`, see [`parse_base_url`]);
+    /// `Err` is the parse message.
+    pub fn new(url: &str, token: Option<String>) -> Result<Client, String> {
+        Ok(Client {
+            authority: parse_base_url(url)?,
+            url: url.to_string(),
+            token,
+        })
+    }
+
+    /// The base URL this client targets.
+    pub fn url(&self) -> &str {
+        &self.url
+    }
+
+    /// One request over this thread's pooled connection, with one
+    /// bounded retry: any failure of the first attempt — refused/reset
+    /// connection, timeout, or a response cut off mid-frame — sleeps
+    /// [`RETRY_DELAY`] and tries once more before the error stands. One
+    /// retry rides out the transient blips of a busy or restarting
+    /// server; keeping it *bounded* keeps a hard failure loud (an
+    /// unreachable cache degrades to cold-cache misses, an unreachable
+    /// dispatcher errors) instead of becoming an unbounded hang. The
+    /// silent resend on a stale pooled socket does not use up the retry.
+    pub fn call(
+        &self,
+        method: &str,
+        path_and_query: &str,
+        body: &str,
+    ) -> Result<Response, HttpError> {
+        spp_par::retry(2, RETRY_DELAY, |_| {
+            pooled_exchange(
+                &self.authority,
+                method,
+                path_and_query,
+                body,
+                self.token.as_deref(),
+            )
+        })
+    }
 }
 
 /// Perform one blocking request against `authority` (a `host:port`
-/// string) on its own connection, `Connection: close`. The pooled path
-/// ([`pooled_roundtrip`]) is the production client; this one-shot shape
-/// remains for tests and for deliberately unpooled probes (e.g. the
-/// bench harness's close-per-request mode).
+/// string) on its own connection, `Connection: close`. [`Client`] is the
+/// production client; this one-shot shape remains for tests and for
+/// deliberately unpooled probes (e.g. the bench harness's
+/// close-per-request mode).
 pub fn roundtrip(
     authority: &str,
     method: &str,
     path_and_query: &str,
     body: &str,
-) -> Result<Response, HttpError> {
-    roundtrip_auth(authority, method, path_and_query, body, None)
-}
-
-/// [`roundtrip`] with a bearer token attached to the request.
-pub fn roundtrip_auth(
-    authority: &str,
-    method: &str,
-    path_and_query: &str,
-    body: &str,
-    token: Option<&str>,
 ) -> Result<Response, HttpError> {
     let stream = TcpStream::connect(authority).map_err(io_error)?;
     stream
@@ -893,15 +872,7 @@ pub fn roundtrip_auth(
     stream
         .set_write_timeout(Some(IO_TIMEOUT))
         .map_err(io_error)?;
-    write_request(
-        &stream,
-        authority,
-        method,
-        path_and_query,
-        body,
-        true,
-        token,
-    )?;
+    write_request(&stream, authority, method, path_and_query, body, true, None)?;
     let mut buf = RecvBuf::new();
     read_response(&stream, &mut buf)
 }
@@ -1051,13 +1022,16 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            write_response_headers(
+            write_message(
                 &stream,
-                401,
-                "application/json",
+                format_args!("HTTP/1.1 401 {}", reason(401)),
+                &[
+                    ("Content-Type", "application/json"),
+                    ("Connection", "close"),
+                    ("WWW-Authenticate", "Bearer"),
+                    ("X-Empty", ""),
+                ],
                 "{}",
-                true,
-                &[("WWW-Authenticate", "Bearer")],
             )
             .unwrap();
         });
@@ -1065,9 +1039,11 @@ mod tests {
         let mut raw = String::new();
         stream.read_to_string(&mut raw).unwrap();
         server.join().unwrap();
-        assert!(raw.starts_with("HTTP/1.1 401 Unauthorized\r\n"), "{raw}");
-        assert!(raw.contains("\r\nWWW-Authenticate: Bearer\r\n"), "{raw}");
-        assert!(raw.ends_with("\r\n\r\n{}"), "{raw}");
+        assert_eq!(
+            raw,
+            "HTTP/1.1 401 Unauthorized\r\nContent-Type: application/json\r\n\
+             Connection: close\r\nWWW-Authenticate: Bearer\r\nContent-Length: 2\r\n\r\n{}"
+        );
     }
 
     #[test]
@@ -1079,19 +1055,76 @@ mod tests {
             stream.set_read_timeout(Some(IO_TIMEOUT)).unwrap();
             let mut buf = RecvBuf::new();
             let request = read_request(&stream, &mut buf, 1 << 20, None, false).unwrap();
-            write_response(&stream, 200, "text/plain", "ok").unwrap();
+            let ok = ("Connection", "close");
+            write_message(&stream, format_args!("HTTP/1.1 200 OK"), &[ok], "ok").unwrap();
             request.authorization
         });
-        let response = roundtrip_auth(
-            &addr.to_string(),
-            "PUT",
-            "/cache/k",
-            "body",
-            Some("tok-123"),
-        )
-        .unwrap();
+        let client = Client::new(&format!("http://{addr}"), Some("tok-123".into())).unwrap();
+        let response = client.call("PUT", "/cache/k", "body").unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(server.join().unwrap().as_deref(), Some("Bearer tok-123"));
+    }
+
+    /// Serve `raw` as the response to one request on a connection the
+    /// stub holds open for up to 3 s (a keep-alive peer), and require the
+    /// client's exchange to fail as [`HttpError::Bad`] in under 1 s — a
+    /// read-until-EOF would wait out the stub.
+    fn assert_response_rejected(raw: String) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stub = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_read_timeout(Some(IO_TIMEOUT)).unwrap();
+            let mut buf = RecvBuf::new();
+            read_request(&stream, &mut buf, 1 << 20, None, false).unwrap();
+            stream.write_all(raw.as_bytes()).unwrap();
+            // Hold the connection until the client hangs up, or 3 s.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(3)))
+                .unwrap();
+            let _ = stream.read(&mut [0u8; 64]);
+        });
+        let started = Instant::now();
+        let result = roundtrip(&addr.to_string(), "GET", "/cache/k", "");
+        let elapsed = started.elapsed();
+        stub.join().unwrap();
+        assert!(
+            matches!(result, Err(HttpError::Bad(_))),
+            "expected Bad, got {result:?}"
+        );
+        assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+    }
+
+    #[test]
+    fn response_with_two_content_length_headers_is_rejected() {
+        assert_response_rejected(
+            "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 7\r\n\r\n{}extra".into(),
+        );
+    }
+
+    #[test]
+    fn response_with_conflicting_content_length_list_is_rejected() {
+        assert_response_rejected("HTTP/1.1 200 OK\r\nContent-Length: 2, 7\r\n\r\n{}extra".into());
+    }
+
+    #[test]
+    fn response_with_unparsable_content_length_is_rejected() {
+        assert_response_rejected("HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}".into());
+    }
+
+    #[test]
+    fn response_with_too_many_headers_is_rejected() {
+        let mut raw = "HTTP/1.1 200 OK\r\n".to_string();
+        for i in 0..=MAX_HEADERS {
+            raw.push_str(&format!("X-H{i}: v\r\n"));
+        }
+        raw.push_str("Content-Length: 2\r\n\r\n{}");
+        assert_response_rejected(raw);
+    }
+
+    #[test]
+    fn response_without_content_length_is_rejected() {
+        assert_response_rejected("HTTP/1.1 200 OK\r\n\r\n{}".into());
     }
 
     #[test]

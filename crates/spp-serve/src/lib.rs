@@ -28,12 +28,15 @@
 //! Everything is `std`-only (`TcpListener`/`TcpStream`), matching the
 //! workspace's no-crates.io constraint: [`http`] is a minimal HTTP/1.1
 //! message layer — persistent keep-alive connections with
-//! `Content-Length` framing and a per-thread client connection pool —
-//! [`server`] the service (per-connection request budget, idle timeout,
-//! connection counters and latency quantiles in `/stats`), [`client`]
-//! the `SolveCache` adapter, [`work_client`] the `WorkSource` adapter,
-//! and [`bench`] the `spp bench serve` load generator that measures the
-//! whole stack (RPS + latency histograms, keep-alive vs close).
+//! `Content-Length` framing, one head reader and one writer for requests
+//! and responses alike — [`server`] the service (per-connection request
+//! budget, idle timeout, connection counters and latency quantiles in
+//! `/stats`), [`client`] the `SolveCache` adapter, [`work_client`] the
+//! `WorkSource` adapter, and [`bench`](mod@bench) the `spp bench serve`
+//! load generator that measures the whole stack (RPS + latency
+//! histograms, keep-alive vs close). Both adapters talk through one
+//! [`http::Client`]: a base URL and the fleet's bearer token, whose calls
+//! ride a per-thread pooled connection and get one bounded retry.
 //! Concurrency is a fixed [`spp_par::run_workers`] accept pool — bounded
 //! by construction, no thread per connection — and on Linux the
 //! [`event`] module adds an epoll multiplexer (`--io-mode event`) so

@@ -38,7 +38,9 @@
 //! must reproduce the file name) before serving — a damaged file is 404,
 //! never bytes that could be mistaken for an entry; a PUT validates the
 //! same invariant before writing, so no client can plant a mis-filed
-//! entry. All writes go through
+//! entry. A PUT then stores through [`DiskCache`]'s best-so-far write: an
+//! entry is replaced only by a strictly better cell, and the PUT is
+//! answered 204 either way. All writes go through
 //! [`write_entry_atomic`](spp_engine::cache::write_entry_atomic): the
 //! temp-file + `rename` discipline that makes concurrent writers (local
 //! `DiskCache` users and HTTP PUTs alike) safe on one directory.
@@ -87,7 +89,7 @@ use std::time::{Duration, Instant};
 
 use spp_core::hist::AtomicHist;
 use spp_core::json;
-use spp_engine::cache::{entry_parse, write_entry_atomic};
+use spp_engine::cache::{entry_parse, entry_parse_named};
 use spp_engine::work::{complete_parse, grant_to_json, status_to_json};
 use spp_engine::{
     execute_cells, BatchJob, CacheStats, DiskCache, ParamError, Registry, SolveCache, SolveConfig,
@@ -250,29 +252,10 @@ pub struct ServeConfig {
     pub max_improve_streams: u64,
 }
 
-impl ServeConfig {
-    /// A cache-role config (the historical `spp serve` shape).
-    pub fn new(cache_dir: impl Into<PathBuf>) -> Self {
-        ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 0,
-            max_body: DEFAULT_MAX_BODY,
-            cache_dir: Some(cache_dir.into()),
-            readonly: false,
-            keepalive_requests: DEFAULT_KEEPALIVE_REQUESTS,
-            idle_timeout: DEFAULT_IDLE_TIMEOUT,
-            token: None,
-            io_mode: IoMode::Auto,
-            header_timeout: DEFAULT_HEADER_TIMEOUT,
-            turn_requests: DEFAULT_TURN_REQUESTS,
-            max_budget_ms: DEFAULT_MAX_BUDGET_MS,
-            max_improve_streams: DEFAULT_MAX_IMPROVE_STREAMS,
-        }
-    }
-
-    /// A config with no cache role; pair with
-    /// [`Server::bind_with_work`] for a dispatcher-only process.
-    pub fn without_cache() -> Self {
+/// The defaults carry no cache role; pair them with
+/// [`Server::bind_with_work`] for a dispatcher-only process.
+impl Default for ServeConfig {
+    fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 0,
@@ -287,6 +270,16 @@ impl ServeConfig {
             turn_requests: DEFAULT_TURN_REQUESTS,
             max_budget_ms: DEFAULT_MAX_BUDGET_MS,
             max_improve_streams: DEFAULT_MAX_IMPROVE_STREAMS,
+        }
+    }
+}
+
+impl ServeConfig {
+    /// A cache-role config (the historical `spp serve` shape).
+    pub fn new(cache_dir: impl Into<PathBuf>) -> Self {
+        ServeConfig {
+            cache_dir: Some(cache_dir.into()),
+            ..ServeConfig::default()
         }
     }
 
@@ -823,6 +816,28 @@ impl Reply {
     }
 }
 
+/// Write `reply` as one `Content-Length`-framed response. With `close`
+/// it announces `Connection: close` and the caller drops the socket;
+/// otherwise an explicit `keep-alive` (the HTTP/1.1 default) is written
+/// so 1.0-era intermediaries behave.
+fn write_reply(stream: &TcpStream, reply: &Reply, close: bool) -> Result<(), HttpError> {
+    http::write_message(
+        stream,
+        format_args!("HTTP/1.1 {} {}", reply.status, http::reason(reply.status)),
+        &[
+            ("Content-Type", reply.content_type),
+            ("Connection", if close { "close" } else { "keep-alive" }),
+            // RFC 9110 §11.6.1: a 401 must name the authentication
+            // scheme it expects.
+            (
+                "WWW-Authenticate",
+                if reply.status == 401 { "Bearer" } else { "" },
+            ),
+        ],
+        &reply.body,
+    )
+}
+
 /// Wait for the next request at a connection boundary, slicing the idle
 /// wait so the worker re-checks the shutdown flag every [`IDLE_SLICE`].
 /// Returns [`HttpError::Idle`] once the full idle budget (or shutdown)
@@ -880,7 +895,7 @@ fn protocol_error_close(stream: &TcpStream, e: HttpError, state: &State) {
         HttpError::Bad(msg) => Reply::error(400, &msg),
         HttpError::Io(_) | HttpError::Closed | HttpError::Idle => unreachable!(),
     };
-    let _ = http::write_response_conn(stream, reply.status, reply.content_type, &reply.body, true);
+    let _ = write_reply(stream, &reply, true);
 }
 
 /// Route one parsed request and write its response. `served` is this
@@ -914,21 +929,7 @@ fn respond(stream: &TcpStream, request: &Request, served: u64, state: &State) ->
         || panicked
         || served >= state.keepalive_requests
         || state.shutdown.load(Ordering::Relaxed);
-    // RFC 9110 §11.6.1: a 401 must name the authentication scheme it
-    // expects.
-    let extra: &[(&str, &str)] = if reply.status == 401 {
-        &[("WWW-Authenticate", "Bearer")]
-    } else {
-        &[]
-    };
-    let written = http::write_response_headers(
-        stream,
-        reply.status,
-        reply.content_type,
-        &reply.body,
-        close,
-        extra,
-    );
+    let written = write_reply(stream, &reply, close);
     state
         .latency
         .record(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
@@ -1304,15 +1305,15 @@ fn cache_get(name: &str, state: &State) -> Reply {
     // Serve only a complete entry that maps back to this name — a
     // damaged or mis-filed file is indistinguishable from absent, the
     // same trust model as DiskCache::get.
-    match entry_parse(&text) {
-        Ok((key, _)) if key.file_name() == file_name => {
+    match entry_parse_named(&text, &file_name) {
+        Ok(_) => {
             state
                 .counters
                 .cache_get_hits
                 .fetch_add(1, Ordering::Relaxed);
             Reply::json(200, text)
         }
-        _ => miss(state),
+        Err(_) => miss(state),
     }
 }
 
@@ -1328,7 +1329,7 @@ fn cache_put(name: &str, body: &str, state: &State) -> Reply {
         return Reply::error(403, "cache is read-only");
     }
     let file_name = format!("{name}.json");
-    let (key, _cell) = match entry_parse(body) {
+    let (key, cell) = match entry_parse(body) {
         Ok(parsed) => parsed,
         Err(e) => return Reply::error(400, &format!("body is not a cache entry: {e}")),
     };
@@ -1342,9 +1343,10 @@ fn cache_put(name: &str, body: &str, state: &State) -> Reply {
             ),
         );
     }
-    // Store the canonical serialization (== the validated body for every
-    // entry our own tools produce).
-    match write_entry_atomic(cache.dir(), &file_name, body) {
+    // The best-so-far rule, as for every local writer: an incumbent that
+    // is at least as good stays, and the PUT is still accepted — a worker
+    // whose budgeted search stopped early must not regress the fleet.
+    match cache.put_best(&key, &cell) {
         Ok(()) => {
             state.counters.cache_puts.fetch_add(1, Ordering::Relaxed);
             Reply {

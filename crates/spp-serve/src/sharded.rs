@@ -13,7 +13,8 @@
 //! the fleet's warm entries stay exactly where they are.
 //!
 //! **Replication & read-repair.** `put` writes the entry to all R
-//! replicas. `get` tries them in ring order and returns the first hit; a
+//! replicas, each of which keeps the better of the entry and what it
+//! holds (the server's best-so-far rule). `get` tries them in ring order and returns the first hit; a
 //! hit found on a non-primary replica is re-put to the primary
 //! (best-effort), so a key displaced by node churn — or recomputed while
 //! its primary was down — migrates back to where future gets look first.
@@ -77,7 +78,7 @@ impl ShardedCache {
         }
         let nodes = urls
             .iter()
-            .map(|url| Ok(HttpCache::new(url, readonly)?.with_token(token.clone())))
+            .map(|url| HttpCache::new(url, readonly, token.clone()))
             .collect::<Result<Vec<_>, CacheError>>()?;
         // Two ring positions backed by one server would silently halve
         // the real replication factor — refuse.
@@ -126,15 +127,6 @@ impl ShardedCache {
     /// were absorbed as no-ops instead of failing the run.
     pub fn degraded_puts(&self) -> u64 {
         self.degraded_puts.load(Ordering::Relaxed)
-    }
-
-    /// Per-node `(url, stats)` in ring-label order — the transport-level
-    /// view behind the aggregate [`SolveCache::stats`].
-    pub fn per_node_stats(&self) -> Vec<(String, CacheStats)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.url().to_string(), n.stats()))
-            .collect()
     }
 
     /// The key's replica set: indices into `self.nodes`, primary first.

@@ -9,16 +9,15 @@
 //! attached), report the portable rows back. The dispatcher cannot tell
 //! one puller from another — which is the point of the seam.
 //!
-//! Trust and failure model:
+//! Trust and failure model — every dispatcher call goes through one
+//! [`http::Client`], which carries the fleet's bearer token:
 //!
-//! * every dispatcher call rides this thread's **pooled keep-alive
-//!   connection** ([`http::pooled_roundtrip`]) — a worker's whole
-//!   lease/execute/complete loop is one TCP conversation, and a pooled
-//!   socket the dispatcher closed between calls (idle timeout, request
-//!   budget) is replaced transparently;
-//! * every dispatcher call gets **one bounded retry**
-//!   ([`http::roundtrip_retry_auth`]) before its error stands — a dispatcher
-//!   mid-GC or briefly saturated does not kill a worker;
+//! * calls ride this thread's **pooled keep-alive connection** — a
+//!   worker's whole lease/execute/complete loop is one TCP
+//!   conversation, and a pooled socket the dispatcher closed between
+//!   calls (idle timeout, request budget) is replaced transparently;
+//! * every call gets **one bounded retry** before its error stands — a
+//!   dispatcher mid-GC or briefly saturated does not kill a worker;
 //! * a persistent transport failure is a loud [`WorkError`] — a worker
 //!   that cannot reach its dispatcher must say so and exit nonzero, not
 //!   spin silently (the dispatcher requeues its outstanding lease at the
@@ -46,46 +45,27 @@ use crate::http;
 
 /// A [`WorkSource`] served over HTTP by an `spp dispatch` process.
 pub struct RemoteLease {
-    /// `host:port` of the dispatcher.
-    authority: String,
-    /// Base URL as given (for error messages).
-    url: String,
-    /// Bearer token attached to every request when the dispatcher runs
-    /// with `--token-file`.
-    token: Option<String>,
+    client: http::Client,
 }
 
 impl RemoteLease {
-    /// Parse a base URL of the form `http://host:port` (same rules as
-    /// the cache client: no path, explicit port).
-    pub fn new(url: &str) -> Result<RemoteLease, WorkError> {
-        let authority = http::parse_base_url(url).map_err(|err| WorkError::Protocol {
+    /// A work client of `url` (`http://host:port`, the same rules as the
+    /// cache client: no path, explicit port). `token` is sent with every
+    /// dispatcher call — required when the dispatcher runs with
+    /// `--token-file`.
+    pub fn new(url: &str, token: Option<String>) -> Result<RemoteLease, WorkError> {
+        let client = http::Client::new(url, token).map_err(|err| WorkError::Protocol {
             context: url.to_string(),
             err: format!("dispatcher {err}"),
         })?;
-        Ok(RemoteLease {
-            authority,
-            url: url.to_string(),
-            token: None,
-        })
-    }
-
-    /// Attach a bearer token sent with every dispatcher call — required
-    /// when the dispatcher runs with `--token-file`.
-    pub fn with_token(mut self, token: Option<String>) -> RemoteLease {
-        self.token = token;
-        self
-    }
-
-    /// The base URL this client targets.
-    pub fn url(&self) -> &str {
-        &self.url
+        Ok(RemoteLease { client })
     }
 
     fn call(&self, method: &str, path: &str, body: &str) -> Result<http::Response, WorkError> {
-        http::roundtrip_retry_auth(&self.authority, method, path, body, self.token.as_deref())
+        self.client
+            .call(method, path, body)
             .map_err(|e| WorkError::Protocol {
-                context: format!("{} {path}", self.url),
+                context: format!("{} {path}", self.client.url()),
                 err: e.to_string(),
             })
     }
@@ -93,7 +73,7 @@ impl RemoteLease {
     fn expect_200(&self, path: &str, response: http::Response) -> Result<String, WorkError> {
         if response.status != 200 {
             return Err(WorkError::Protocol {
-                context: format!("{} {path}", self.url),
+                context: format!("{} {path}", self.client.url()),
                 err: format!("HTTP {}: {}", response.status, response.body.trim()),
             });
         }
@@ -107,7 +87,7 @@ impl RemoteLease {
         let body = self.call("GET", "/work/report", "")?;
         let body = self.expect_200("/work/report", body)?;
         MergedReport::parse(&body).map_err(|e| WorkError::Protocol {
-            context: format!("{} /work/report", self.url),
+            context: format!("{} /work/report", self.client.url()),
             err: e.to_string(),
         })
     }
@@ -139,8 +119,8 @@ mod tests {
 
     #[test]
     fn url_parsing_matches_the_cache_client_rules() {
-        assert!(RemoteLease::new("http://127.0.0.1:8080").is_ok());
-        assert!(RemoteLease::new("http://localhost:9000/").is_ok());
+        assert!(RemoteLease::new("http://127.0.0.1:8080", None).is_ok());
+        assert!(RemoteLease::new("http://localhost:9000/", None).is_ok());
         for bad in [
             "127.0.0.1:8080",
             "https://127.0.0.1:8080",
@@ -149,13 +129,20 @@ mod tests {
             "http://127.0.0.1:80/work",
             "http://",
         ] {
-            assert!(RemoteLease::new(bad).is_err(), "{bad} accepted");
+            assert!(RemoteLease::new(bad, None).is_err(), "{bad} accepted");
         }
+        let Err(err) = RemoteLease::new("http://127.0.0.1", None) else {
+            panic!("a URL without a port was accepted");
+        };
+        assert_eq!(
+            err.to_string(),
+            "http://127.0.0.1: dispatcher URL must name a port (http://host:port)"
+        );
     }
 
     #[test]
     fn unreachable_dispatcher_is_a_loud_error() {
-        let remote = RemoteLease::new("http://127.0.0.1:1").unwrap();
+        let remote = RemoteLease::new("http://127.0.0.1:1", None).unwrap();
         let err = remote.lease().unwrap_err();
         assert!(matches!(err, WorkError::Protocol { .. }), "{err:?}");
         assert!(remote.progress().is_err());

@@ -41,7 +41,7 @@ fn queue_over(suite: &std::path::Path, lease_files: usize, timeout: Option<Durat
 /// the solver names each lease names, execute through the engine
 /// pipeline, report back.
 fn pull_remote(url: &str) {
-    let source = RemoteLease::new(url).unwrap();
+    let source = RemoteLease::new(url, None).unwrap();
     let registry = Registry::builtin();
     let execute = |lease: &spp_engine::WorkLease| {
         let solvers: Vec<Box<dyn Solver>> = lease
@@ -70,12 +70,9 @@ fn remote_pullers_reproduce_the_local_run_byte_for_byte() {
     .unwrap();
 
     // Dispatcher with 2-file leases, no cache role.
-    let server = Server::bind_with_work(
-        &ServeConfig::without_cache(),
-        Some(queue_over(&suite, 2, None)),
-    )
-    .unwrap()
-    .spawn();
+    let server = Server::bind_with_work(&ServeConfig::default(), Some(queue_over(&suite, 2, None)))
+        .unwrap()
+        .spawn();
     let url = server.url();
 
     // Before anyone completes anything the report poll is a clean 409.
@@ -90,7 +87,7 @@ fn remote_pullers_reproduce_the_local_run_byte_for_byte() {
         }
     });
 
-    let remote = RemoteLease::new(&url).unwrap();
+    let remote = RemoteLease::new(&url, None).unwrap();
     let status = remote.progress().unwrap();
     assert!(status.done);
     assert_eq!(status.jobs, 9);
@@ -136,13 +133,13 @@ fn expired_leases_requeue_and_duplicate_completions_are_acknowledged() {
     spp_gen::suite::write_suite(&suite, 5, 8, 4).unwrap();
     let timeout = Duration::from_millis(300);
     let server = Server::bind_with_work(
-        &ServeConfig::without_cache(),
+        &ServeConfig::default(),
         Some(queue_over(&suite, 1, Some(timeout))),
     )
     .unwrap()
     .spawn();
     let url = server.url();
-    let remote = RemoteLease::new(&url).unwrap();
+    let remote = RemoteLease::new(&url, None).unwrap();
 
     // A doomed worker takes one lease and never completes it.
     let LeaseGrant::Work(abandoned) = remote.lease().unwrap() else {
@@ -200,8 +197,8 @@ fn dispatcher_and_cache_roles_compose_in_one_server() {
 
     // A worker that leases from the server AND publishes its cells into
     // the same server's cache — the collapsed one-process topology.
-    let source = RemoteLease::new(&url).unwrap();
-    let cache = spp_serve::HttpCache::new(&url, false).unwrap();
+    let source = RemoteLease::new(&url, None).unwrap();
+    let cache = spp_serve::HttpCache::new(&url, false, None).unwrap();
     let registry = Registry::builtin();
     let execute = |lease: &spp_engine::WorkLease| {
         let solvers: Vec<Box<dyn Solver>> = lease

@@ -115,6 +115,52 @@ fn cache_endpoints_roundtrip_and_validate() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `PUT /cache` keeps the best-so-far rule: a worse entry after a
+/// better one is accepted (204) but the better one stays served.
+#[test]
+fn a_worse_put_never_replaces_a_better_entry() {
+    let (server, dir) = start("put_best_raw", false);
+    let authority = server.authority();
+    let k = key("best-raw");
+    let name = k.file_name();
+    let path = format!("/cache/{}", name.strip_suffix(".json").unwrap());
+    let better = entry_to_json(&k, &cell(2.0));
+    for body in [better.clone(), entry_to_json(&k, &cell(3.0))] {
+        let r = roundtrip(&authority, "PUT", &path, &body).unwrap();
+        assert_eq!(r.status, 204, "{}", r.body);
+    }
+    let r = roundtrip(&authority, "GET", &path, "").unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(r.body, better, "a worse PUT replaced a better entry");
+    assert_eq!(server.counters().cache_puts, 2, "both PUTs are accepted");
+
+    // A strictly better entry still replaces it.
+    let best = entry_to_json(&k, &cell(1.0));
+    assert_eq!(
+        roundtrip(&authority, "PUT", &path, &best).unwrap().status,
+        204
+    );
+    assert_eq!(roundtrip(&authority, "GET", &path, "").unwrap().body, best);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `HttpCache` relies on the trait's default `put_best` (a plain PUT):
+/// the server's rule is what keeps the better entry.
+#[test]
+fn http_cache_put_best_keeps_the_better_entry() {
+    let (server, dir) = start("put_best_http", false);
+    let http = HttpCache::new(&server.url(), false, None).unwrap();
+    let k = key("best-http");
+    http.put_best(&k, &cell(1.5)).unwrap();
+    http.put_best(&k, &cell(4.0)).unwrap();
+    assert_eq!(http.get(&k), Some(cell(1.5)));
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn readonly_server_refuses_puts_but_serves_gets() {
     let seed_dir = tmp("readonly_seed");
@@ -143,7 +189,7 @@ fn readonly_server_refuses_puts_but_serves_gets() {
     // An HttpCache client pointed at a read-only server still works as a
     // read-through cache (its own puts error loudly unless it too is
     // read-only).
-    let client = HttpCache::new(&server.url(), true).unwrap();
+    let client = HttpCache::new(&server.url(), true, None).unwrap();
     assert_eq!(client.get(&key("a")), Some(cell(2.0)));
     assert!(client.put(&key("b"), &cell(1.0)).is_ok()); // no-op
     assert!(client.get(&key("b")).is_none());
@@ -371,7 +417,7 @@ fn keepalive_serves_many_requests_per_socket() {
     let (server, dir) = start("keepalive_reuse", false);
     let mut conn = spp_serve::http::Conn::connect(&server.authority()).unwrap();
     for i in 1..=5u64 {
-        let r = conn.call("GET", "/stats", "").unwrap();
+        let r = conn.call("GET", "/stats", "", None).unwrap();
         assert_eq!(r.status, 200);
         assert!(!r.close, "request {i} should leave the connection open");
         assert_eq!(conn.requests(), i);
@@ -412,7 +458,7 @@ fn keepalive_budget_exhaustion_closes_with_connection_close() {
 
     let mut conn = spp_serve::http::Conn::connect(&authority).unwrap();
     for i in 1..=3u64 {
-        let r = conn.call("GET", "/stats", "").unwrap();
+        let r = conn.call("GET", "/stats", "", None).unwrap();
         assert_eq!(r.status, 200);
         assert_eq!(
             r.close,
@@ -421,7 +467,7 @@ fn keepalive_budget_exhaustion_closes_with_connection_close() {
         );
     }
     assert!(
-        conn.call("GET", "/stats", "").is_err(),
+        conn.call("GET", "/stats", "", None).is_err(),
         "the socket must really be closed after the budget"
     );
     let r = roundtrip(&authority, "GET", "/stats", "").unwrap();
@@ -446,7 +492,7 @@ fn keepalive_idle_timeout_closes_cleanly() {
     let authority = server.authority();
 
     let mut conn = spp_serve::http::Conn::connect(&authority).unwrap();
-    let r = conn.call("GET", "/stats", "").unwrap();
+    let r = conn.call("GET", "/stats", "", None).unwrap();
     assert_eq!(r.status, 200);
     assert!(!r.close);
     // Sit idle past the budget: the server's close shows up as a clean
@@ -519,8 +565,8 @@ fn mid_request_disconnect_does_not_poison_workers() {
         assert_eq!(r.status, 200);
     }
     let mut conn = spp_serve::http::Conn::connect(&authority).unwrap();
-    assert_eq!(conn.call("GET", "/stats", "").unwrap().status, 200);
-    assert_eq!(conn.call("GET", "/stats", "").unwrap().status, 200);
+    assert_eq!(conn.call("GET", "/stats", "", None).unwrap().status, 200);
+    assert_eq!(conn.call("GET", "/stats", "", None).unwrap().status, 200);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -544,7 +590,7 @@ fn http_and_disk_backends_agree() {
     let solvers = solvers(&["nfdh", "ffdh"]);
 
     let (server, server_dir) = start("agree_server", false);
-    let http = HttpCache::new(&server.url(), false).unwrap();
+    let http = HttpCache::new(&server.url(), false, None).unwrap();
     let disk_dir = tmp("agree_disk");
     let disk = DiskCache::new(&disk_dir, false).unwrap();
 

@@ -11,7 +11,7 @@ use spp_engine::{
     execute_cells, BatchJob, CellStatus, DiskCache, Registry, ShardPlan, SolveCache, SolveConfig,
     SolveRequest, Solver, WorkQueue, WorkSource,
 };
-use spp_serve::http::{roundtrip, roundtrip_auth};
+use spp_serve::http::{roundtrip, Client};
 use spp_serve::{HttpCache, RemoteLease, ServeConfig, Server, ServerHandle, ShardedCache};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -186,8 +186,8 @@ fn read_repair_repopulates_the_primary() {
 
     // Seed the entry on the secondary only.
     let nodes = [
-        HttpCache::new(&urls[0], false).unwrap(),
-        HttpCache::new(&urls[1], false).unwrap(),
+        HttpCache::new(&urls[0], false, None).unwrap(),
+        HttpCache::new(&urls[1], false, None).unwrap(),
     ];
     nodes[secondary].put(&k, &cell(3.5)).unwrap();
     assert!(nodes[primary].get(&k).is_none(), "primary starts cold");
@@ -219,6 +219,38 @@ fn read_repair_repopulates_the_primary() {
     }
 }
 
+/// With R = 2 every replica applies the server's best-so-far rule: a
+/// worse put after a better one leaves the better entry on both nodes,
+/// and a strictly better one replaces it on both.
+#[test]
+fn both_replicas_keep_the_better_entry() {
+    let (node_a, dir_a) = start_node("best_a", None);
+    let (node_b, dir_b) = start_node("best_b", None);
+    let urls = [node_a.url(), node_b.url()];
+    let sharded = ShardedCache::new(&urls, 2, false, None).unwrap();
+    let nodes = [
+        HttpCache::new(&urls[0], false, None).unwrap(),
+        HttpCache::new(&urls[1], false, None).unwrap(),
+    ];
+    let k = key("best-on-both");
+
+    sharded.put_best(&k, &cell(2.0)).unwrap();
+    sharded.put_best(&k, &cell(5.0)).unwrap();
+    for (url, node) in urls.iter().zip(&nodes) {
+        assert_eq!(node.get(&k), Some(cell(2.0)), "{url} took the worse entry");
+    }
+    sharded.put_best(&k, &cell(1.5)).unwrap();
+    for (url, node) in urls.iter().zip(&nodes) {
+        assert_eq!(node.get(&k), Some(cell(1.5)), "{url} kept the worse entry");
+    }
+
+    node_a.shutdown();
+    node_b.shutdown();
+    for d in [dir_a, dir_b] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
 /// Every mutating cache endpoint requires the bearer token: missing,
 /// wrong, and wrong-scheme credentials are 401 with `WWW-Authenticate`;
 /// the right token (also via `HttpCache`/`ShardedCache`) is accepted;
@@ -236,10 +268,11 @@ fn cache_endpoints_enforce_the_bearer_token() {
 
     // Missing and wrong credentials: 401 with the structured error body.
     for token in [None, Some("wrong-secret"), Some("")] {
-        let r = roundtrip_auth(&authority, "PUT", &path, &body, token).unwrap();
+        let client = Client::new(&server.url(), token.map(String::from)).unwrap();
+        let r = client.call("PUT", &path, &body).unwrap();
         assert_eq!(r.status, 401, "token {token:?}");
         assert!(r.body.contains("spp-serve-error"), "{}", r.body);
-        let r = roundtrip_auth(&authority, "POST", "/solve?solver=nfdh", "{}", token).unwrap();
+        let r = client.call("POST", "/solve?solver=nfdh", "{}").unwrap();
         assert_eq!(r.status, 401, "token {token:?}");
     }
 
@@ -264,7 +297,8 @@ fn cache_endpoints_enforce_the_bearer_token() {
     assert!(raw.contains("WWW-Authenticate: Bearer"), "{raw}");
 
     // The right token is accepted on every protected endpoint.
-    let r = roundtrip_auth(&authority, "PUT", &path, &body, Some("fleet-secret")).unwrap();
+    let trusted = Client::new(&server.url(), Some("fleet-secret".into())).unwrap();
+    let r = trusted.call("PUT", &path, &body).unwrap();
     assert_eq!(r.status, 204, "{}", r.body);
     // Reads stay open — a fleet's dashboards and read-through clients
     // need no credential.
@@ -274,9 +308,7 @@ fn cache_endpoints_enforce_the_bearer_token() {
     assert_eq!(r.status, 200);
 
     // The client stacks carry the token end to end.
-    let http = HttpCache::new(&server.url(), false)
-        .unwrap()
-        .with_token(Some("fleet-secret".into()));
+    let http = HttpCache::new(&server.url(), false, Some("fleet-secret".into())).unwrap();
     assert!(http.put(&key("via-http"), &cell(1.0)).is_ok());
     let sharded =
         ShardedCache::new(&[server.url()], 1, false, Some("fleet-secret".into())).unwrap();
@@ -294,7 +326,7 @@ fn cache_endpoints_enforce_the_bearer_token() {
 }
 
 /// The dispatcher's mutating work endpoints enforce the same token;
-/// `RemoteLease::with_token` satisfies it, status stays open.
+/// a `RemoteLease` built with the token satisfies it, status stays open.
 #[test]
 fn work_endpoints_enforce_the_bearer_token() {
     let suite = tmp("work_authn_suite");
@@ -307,17 +339,20 @@ fn work_endpoints_enforce_the_bearer_token() {
         spp_engine::work::chunk_ranges(plan.len(), 1),
         None,
     );
-    let mut config = ServeConfig::without_cache();
-    config.token = Some("fleet-secret".into());
+    let config = ServeConfig {
+        token: Some("fleet-secret".into()),
+        ..ServeConfig::default()
+    };
     let server = Server::bind_with_work(&config, Some(queue))
         .unwrap()
         .spawn();
     let authority = server.authority();
 
+    let wrong = Client::new(&server.url(), Some("wrong".into())).unwrap();
     for path in ["/work/lease", "/work/complete"] {
         let r = roundtrip(&authority, "POST", path, "").unwrap();
         assert_eq!(r.status, 401, "{path} without token");
-        let r = roundtrip_auth(&authority, "POST", path, "", Some("wrong")).unwrap();
+        let r = wrong.call("POST", path, "").unwrap();
         assert_eq!(r.status, 401, "{path} with wrong token");
     }
     // Reads stay open.
@@ -325,11 +360,9 @@ fn work_endpoints_enforce_the_bearer_token() {
     assert_eq!(r.status, 200);
 
     // A token'd worker leases fine; a tokenless one fails loudly.
-    let anon = RemoteLease::new(&server.url()).unwrap();
+    let anon = RemoteLease::new(&server.url(), None).unwrap();
     assert!(anon.lease().is_err());
-    let trusted = RemoteLease::new(&server.url())
-        .unwrap()
-        .with_token(Some("fleet-secret".into()));
+    let trusted = RemoteLease::new(&server.url(), Some("fleet-secret".into())).unwrap();
     assert!(trusted.lease().is_ok());
 
     server.shutdown();

@@ -624,8 +624,8 @@ fn cache_from_args(args: &Args) -> Option<Box<dyn SolveCache>> {
         // Construction only validates the URL shape; an unreachable
         // server shows up as all-misses (and failed writes error per
         // cell), matching a cold local cache.
-        match HttpCache::new(url, readonly) {
-            Ok(c) => return Some(Box::new(c.with_token(token_from_args(args)))),
+        match HttpCache::new(url, readonly, token_from_args(args)) {
+            Ok(c) => return Some(Box::new(c)),
             Err(e) => {
                 eprintln!("error: {e}");
                 std::process::exit(2);
@@ -793,8 +793,8 @@ fn cmd_batch_merge(args: &Args) -> ExitCode {
 /// table — byte-identical on stdout to a single-process `spp batch` over
 /// the dispatcher's inputs.
 fn cmd_batch_await(args: &Args) -> ExitCode {
-    let remote = match RemoteLease::new(args.required("--dispatcher-url")) {
-        Ok(r) => r.with_token(token_from_args(args)),
+    let remote = match RemoteLease::new(args.required("--dispatcher-url"), token_from_args(args)) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
@@ -864,7 +864,7 @@ fn cmd_dispatch(args: &Args) -> ExitCode {
 
     let mut serve_config = match args.get("--cache-dir") {
         Some(dir) => ServeConfig::new(dir),
-        None => ServeConfig::without_cache(),
+        None => ServeConfig::default(),
     };
     listener_from_args(args, &mut serve_config);
     let server = match Server::bind_with_work(&serve_config, Some(queue)) {
@@ -910,8 +910,8 @@ fn cmd_dispatch(args: &Args) -> ExitCode {
 /// — exactly what a worker killed mid-chunk looks like to the
 /// dispatcher.
 fn cmd_work(args: &Args) -> ExitCode {
-    let source = match RemoteLease::new(args.required("--dispatcher-url")) {
-        Ok(s) => s.with_token(token_from_args(args)),
+    let source = match RemoteLease::new(args.required("--dispatcher-url"), token_from_args(args)) {
+        Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
@@ -1091,7 +1091,7 @@ fn cmd_cache_stats(args: &Args) -> ExitCode {
 fn cmd_cache_gc(args: &Args) -> ExitCode {
     let dir = Path::new(args.required("--cache-dir"));
     let max_age = args.value("--max-age").map(std::time::Duration::from_secs);
-    match solve_cache::gc_dir_aged(dir, max_age) {
+    match solve_cache::gc_dir(dir, max_age) {
         Ok(report) => {
             for path in &report.removed {
                 eprintln!("removed {}", path.display());
