@@ -493,6 +493,25 @@ mod tests {
     }
 
     #[test]
+    fn online_shelf_answers_items_shorter_than_eps() {
+        // `h - EPS < 0` used to pass the class guard for every k, so the
+        // solve never returned.
+        let inst = Instance::from_dims(&[(0.5, 1e-10)]).unwrap();
+        let report = solve(&OnlineSolver::shelf(), &SolveRequest::unconstrained(inst)).unwrap();
+        assert!(report.validation.passed());
+
+        // A ratio so close to 1 that log_r(h) saturates i32 used to wrap
+        // the guard's k around forever.
+        let inst = Instance::from_dims(&[(0.5, 0.5), (0.5, 1e-10)]).unwrap();
+        let mut req = SolveRequest::unconstrained(inst);
+        req.config.shelf_r = 1.0 - 1e-12;
+        assert!(solve(&OnlineSolver::shelf(), &req)
+            .unwrap()
+            .validation
+            .passed());
+    }
+
+    #[test]
     fn online_shelf_rejects_bad_ratio() {
         let inst = Instance::from_dims(&[(0.5, 1.0)]).unwrap();
         let mut req = SolveRequest::unconstrained(inst);

@@ -47,17 +47,28 @@ impl OnlineShelfPacker {
     }
 
     /// Height class exponent of `h`: the unique k with
-    /// `r^{k+1} < h ≤ r^k` (k may be negative for h > 1).
+    /// `r^{k+1} < h ≤ r^k` (k may be negative for h > 1), up to an `EPS`
+    /// tolerance for items taller than `EPS`.
     fn class_of(&self, h: f64) -> i32 {
+        // The guards compare against `h - EPS`, which absorbs rounding;
+        // for an item no taller than EPS that would be ≤ 0, below every
+        // power of r, so such an item is classed exactly instead.
+        let lo = if h > spp_core::eps::EPS {
+            h - spp_core::eps::EPS
+        } else {
+            h
+        };
         // smallest k with r^k >= h  <=>  k <= log_r(h); log_r decreasing
-        let k = (h.ln() / self.r.ln()).floor() as i32;
-        // guard against boundary rounding
-        let mut k = k;
-        while self.r.powi(k) < h - spp_core::eps::EPS {
-            k -= 1;
+        let mut k = (h.ln() / self.r.ln()).floor() as i32;
+        // guard against boundary rounding; the checked steps stop at the
+        // ends of i32, which the cast saturates to when r is within a
+        // few ulps of 1
+        while self.r.powi(k) < lo {
+            let Some(next) = k.checked_sub(1) else { break };
+            k = next;
         }
-        while self.r.powi(k + 1) >= h - spp_core::eps::EPS {
-            k += 1;
+        while let Some(next) = k.checked_add(1).filter(|&n| self.r.powi(n) >= lo) {
+            k = next;
         }
         k
     }

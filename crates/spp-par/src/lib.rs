@@ -9,8 +9,7 @@
 //!   worker threads (used by the experiment harness and the engine's batch
 //!   executor to sweep instances);
 //! * [`run_workers`] — a fixed-size pool of long-lived workers (used by
-//!   the `spp-serve` HTTP front end's accept loop and the anytime
-//!   portfolio search's streams);
+//!   the anytime portfolio search's streams);
 //! * [`retry`] — bounded retry with a fixed inter-attempt delay, for
 //!   transient faults at process seams (HTTP cache round trips, work
 //!   dispatcher calls).
@@ -102,7 +101,7 @@ pub fn retry<T, E>(
 
 /// Run `workers` long-lived worker threads, each calling `f(worker_index)`,
 /// and block until all of them return. The fixed-size pool primitive for
-/// services (e.g. an accept loop handling connections): concurrency is
+/// long-lived loops (e.g. anytime search streams): concurrency is
 /// bounded by construction, and a panicking worker propagates after the
 /// others finish instead of being silently lost.
 pub fn run_workers(workers: usize, f: impl Fn(usize) + Sync) {

@@ -86,9 +86,8 @@ pub struct BenchConfig {
     pub rate: Option<f64>,
     /// Idle keep-alive connections opened *alongside* the active
     /// clients: each connects, never sends a byte, and holds its socket
-    /// until the measured run ends. This is the load shape the event
-    ///-driven I/O mode exists for — RPS-vs-idle-count is the number
-    /// that separates `--io-mode event` from blocking.
+    /// until the measured run ends. RPS-vs-idle-count shows what a
+    /// parked connection costs the server's event loop.
     pub idle_clients: usize,
 }
 
@@ -107,8 +106,8 @@ pub struct BenchResult {
     /// Idle connections that were actually open when measurement began.
     pub idle_connected: u64,
     /// Idle connections that failed to connect within
-    /// [`IDLE_CONNECT_TIMEOUT`] — on a blocking-mode server with a full
-    /// accept backlog this is where the degradation shows up first.
+    /// [`IDLE_CONNECT_TIMEOUT`] — a server whose accept backlog stays
+    /// full shows its degradation here first.
     pub idle_errors: u64,
 }
 
@@ -129,8 +128,8 @@ fn claim(remaining: &AtomicU64) -> bool {
 /// Per-connection budget for standing up the idle fleet. Long enough
 /// to survive one SYN retransmit (the whole fleet arrives as a burst,
 /// so a briefly overflowing accept backlog is normal), short enough
-/// that a blocking server whose backlog is *persistently* drowned
-/// reports idle errors instead of stalling the whole benchmark.
+/// that a server whose backlog is *persistently* drowned reports idle
+/// errors instead of stalling the whole benchmark.
 pub const IDLE_CONNECT_TIMEOUT: Duration = Duration::from_millis(2500);
 
 /// Threads used to stand the idle fleet up (and hold it).

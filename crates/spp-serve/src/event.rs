@@ -4,13 +4,14 @@
 //! connection through epoll, so thousands of idle clients cost zero pool
 //! workers. The loop never parses bytes: when a parked socket becomes
 //! readable it hands the connection to the worker pool (`EventShared`'s
-//! ready queue), and the worker runs the exact same parse/handle/write
-//! path as blocking mode. After a response the worker parks the
+//! ready queue), and the worker parses the request, handles it and
+//! writes the response. After a response the worker parks the
 //! connection back here instead of holding its thread.
 //!
 //! The epoll surface is bound directly over the already-linked libc via
 //! `extern "C"` — no new dependencies, Linux-only. On other platforms
-//! `SUPPORTED` is false and the server falls back to blocking mode.
+//! [`EventShared::new`] fails with `Unsupported`, and so does binding a
+//! server.
 //!
 //! Protocol between loop and workers:
 //!
@@ -40,9 +41,6 @@ use std::time::Duration;
 
 use crate::http::RecvBuf;
 
-/// Whether the event-driven I/O mode is available on this platform.
-pub const SUPPORTED: bool = cfg!(target_os = "linux");
-
 /// Upper bound on one `epoll_wait` sleep even with no parked deadlines,
 /// so the loop re-checks shutdown and the park inbox defensively.
 pub const IDLE_POLL_CAP: Duration = Duration::from_millis(500);
@@ -56,7 +54,8 @@ const MAX_EVENTS: usize = 256;
 #[cfg(target_os = "linux")]
 const ACCEPT_BURST: usize = 1024;
 
-/// Backoff after a failed `accept` (matches blocking mode's).
+/// Backoff after a failed `accept`: without it a persistent failure
+/// (fd exhaustion) spins the loop hot.
 #[cfg(target_os = "linux")]
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
@@ -119,8 +118,8 @@ impl EventCounters {
 }
 
 /// Server-side callbacks the loop invokes so connection-economics
-/// counters stay in `server::AtomicCounters` exactly as blocking mode
-/// keeps them (the loop owns accept and final close in event mode).
+/// counters stay in `server::AtomicCounters` (the loop owns accept and
+/// the final close of parked connections).
 pub struct EventHooks<'a> {
     /// A connection was accepted.
     pub on_accept: &'a (dyn Fn() + Sync),
@@ -194,10 +193,12 @@ impl EventShared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    #[cfg(target_os = "linux")]
     fn drain_inbox(&self) -> Vec<EventConn> {
         std::mem::take(&mut *self.inbox.lock().unwrap())
     }
 
+    #[cfg(target_os = "linux")]
     fn drain_ready(&self) -> Vec<EventConn> {
         self.ready.lock().unwrap().drain(..).collect()
     }
@@ -306,15 +307,22 @@ impl Drop for Waker {
     }
 }
 
+/// There is no epoll off Linux: the stub waker cannot exist, so
+/// [`EventShared::new`] fails with `Unsupported`.
 #[cfg(not(target_os = "linux"))]
-struct Waker;
+enum Waker {}
 
 #[cfg(not(target_os = "linux"))]
 impl Waker {
     fn new() -> std::io::Result<Waker> {
-        Ok(Waker)
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the event loop requires linux epoll",
+        ))
     }
-    fn wake(&self) {}
+    fn wake(&self) {
+        match *self {}
+    }
 }
 
 /// Thin RAII wrapper over an epoll instance.
@@ -518,9 +526,8 @@ pub fn run_event_loop(
 
         // Expire idle connections — only when the cached cheapest
         // deadline has actually fired. A parked socket has no unread
-        // bytes, so dropping it sends a clean FIN — exactly the
-        // blocking-mode idle-timeout close the roundtrip tests assert
-        // on.
+        // bytes, so dropping it sends a clean FIN — the idle-timeout
+        // close the roundtrip tests assert on.
         let now = Instant::now();
         if next_deadline.is_some_and(|d| d <= now) {
             let expired: Vec<u64> = parked
@@ -562,8 +569,8 @@ pub fn run_event_loop(
     Ok(())
 }
 
-/// Non-Linux stub; `IoMode::resolve` never selects event mode here, so
-/// this only exists to keep call sites compiling.
+/// Non-Linux stub: [`EventShared::new`] already fails off Linux, so no
+/// server reaches this; it keeps call sites compiling.
 #[cfg(not(target_os = "linux"))]
 pub fn run_event_loop(
     _listener: &std::net::TcpListener,
@@ -577,7 +584,7 @@ pub fn run_event_loop(
     ))
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
 
@@ -605,7 +612,6 @@ mod tests {
         assert_eq!(shared.next_ready().unwrap().served, 2);
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn poller_sees_listener_readiness_and_waker_wakes() {
         use std::os::unix::io::AsRawFd;

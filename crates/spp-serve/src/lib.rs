@@ -37,11 +37,11 @@
 //! histograms, keep-alive vs close). Both adapters talk through one
 //! [`http::Client`]: a base URL and the fleet's bearer token, whose calls
 //! ride a per-thread pooled connection and get one bounded retry.
-//! Concurrency is a fixed [`spp_par::run_workers`] accept pool — bounded
-//! by construction, no thread per connection — and on Linux the
-//! [`event`] module adds an epoll multiplexer (`--io-mode event`) so
-//! idle keep-alive connections park on one event-loop thread instead of
-//! holding pool workers.
+//! Connections are served by the [`event`] module's epoll multiplexer,
+//! so the server runs on Linux only: idle keep-alive connections park on
+//! one event-loop thread, and a fixed worker pool — bounded by
+//! construction, no thread per connection — serves only connections
+//! with readable bytes.
 //!
 //! ## Deployment sketch
 //!

@@ -47,27 +47,18 @@
 //!
 //! ## Execution model
 //!
-//! Two I/O modes share one request path ([`IoMode`], `--io-mode`):
+//! One event-loop thread ([`crate::event`]) owns the listener and every
+//! *idle* connection through epoll; a fixed pool of `workers` threads
+//! only ever touches connections with readable bytes. A parked
+//! keep-alive client costs a file descriptor, not a worker, so
+//! `workers` bounds concurrent requests (and hence concurrent solves),
+//! not connections. A worker serves at most
+//! [`ServeConfig::turn_requests`] pipelined requests per readiness turn
+//! before re-parking the connection, so one greedy pipeliner cannot
+//! starve the ready queue. The loop needs epoll, so the server runs on
+//! Linux only: elsewhere [`Server::bind`] fails.
 //!
-//! * **blocking** (default): a fixed pool of [`spp_par::run_workers`]
-//!   threads all block in `accept` on one listener; each serves one
-//!   **connection** at a time — persistent HTTP/1.1, many requests per
-//!   accepted socket — so at most `workers` connections (and hence at
-//!   most `workers` concurrent solves) are in flight: the
-//!   bounded-worker-pool contract, now paying TCP setup once per
-//!   conversation instead of once per request. The idle wait is sliced
-//!   so shutdown stays prompt even with idle keep-alive clients
-//!   attached, and shrinks under pool pressure.
-//! * **event** (Linux): one event-loop thread ([`crate::event`]) owns
-//!   the listener and every *idle* connection via epoll; the same-sized
-//!   worker pool only ever touches connections with readable bytes, so
-//!   thousands of parked keep-alive clients cost zero workers and
-//!   worker count sizes to CPU, not to connection count. Workers serve
-//!   at most [`ServeConfig::turn_requests`] pipelined requests per
-//!   readiness turn before re-parking the connection, so one greedy
-//!   pipeliner cannot starve the ready queue.
-//!
-//! In both modes a connection is closed when the client asks
+//! A connection is closed when the client asks
 //! (`Connection: close`, or HTTP/1.0 without keep-alive), when its
 //! request budget ([`ServeConfig::keepalive_requests`]) is spent, when
 //! it sits idle past [`ServeConfig::idle_timeout`], when a started
@@ -83,7 +74,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -97,7 +88,7 @@ use spp_engine::{
 };
 
 use crate::event::{self, EventConn, EventHooks, EventShared};
-use crate::http::{self, HttpError, RecvBuf, Request};
+use crate::http::{self, HttpError, Request};
 
 /// Default cap on `PUT /cache` and `POST /solve` bodies (8 MiB — roughly
 /// a 60 000-item instance, far beyond anything the suite generates).
@@ -110,7 +101,7 @@ pub const DEFAULT_MAX_BODY: usize = 8 * 1024 * 1024;
 pub const DEFAULT_KEEPALIVE_REQUESTS: u64 = 1000;
 
 /// Default keep-alive idle timeout: a connection with no next request
-/// within this window is closed and its worker returns to `accept`.
+/// within this window is closed.
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Default server-side cap on `POST /solve?budget_ms=`: one request must
@@ -124,23 +115,6 @@ pub const DEFAULT_MAX_BUDGET_MS: u64 = 10_000;
 /// request may ask for is bounded the same way the budget itself is.
 pub const DEFAULT_MAX_IMPROVE_STREAMS: u64 = 16;
 
-/// Granularity of the idle wait: workers re-check the shutdown flag
-/// between slices, bounding shutdown latency even with idle keep-alive
-/// clients attached.
-const IDLE_SLICE: Duration = Duration::from_millis(200);
-
-/// Idle grace under pool pressure: when no worker is left blocking in
-/// `accept` (every one is serving a connection), each connection's idle
-/// wait shrinks to this, so an idle keep-alive client frees its worker
-/// for the backlog instead of starving new connections for the full
-/// idle timeout. With spare workers the full timeout applies — reuse is
-/// only traded away when it is actually contended.
-const PRESSURED_IDLE: Duration = Duration::from_millis(200);
-
-/// Backoff after a failed `accept` (fd exhaustion, transient kernel
-/// errors): without it a persistent failure spins every worker hot.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
-
 /// Default whole-message deadline, armed when the first byte of a
 /// request arrives: request line, headers, and body must all complete
 /// within it or the request is answered 408 and the connection closed.
@@ -149,61 +123,23 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 pub const DEFAULT_HEADER_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Default cap on pipelined requests one connection may have served per
-/// event-mode readiness turn before its worker re-parks it (fairness:
+/// readiness turn before its worker re-parks it (fairness:
 /// a heavy pipeliner rotates to the ready-queue tail instead of holding
 /// its worker until the keep-alive budget runs out).
 pub const DEFAULT_TURN_REQUESTS: u64 = 8;
 
-/// How `spp serve` waits for request bytes — see the module docs.
+/// How `spp serve` waits for request bytes: always the epoll event loop
+/// (see the module docs). `/stats` and the startup lines name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoMode {
-    /// Platform default: blocking, unless the `SPP_IO_MODE=event`
-    /// environment opt-in is set on a platform that supports it.
-    Auto,
-    /// One pool worker per in-flight connection, blocking reads.
-    Blocking,
-    /// epoll multiplexer + worker pool (Linux; elsewhere this silently
-    /// resolves to blocking — the automatic fallback).
+    /// epoll multiplexer + worker pool.
     Event,
 }
 
 impl IoMode {
-    /// Parse a `--io-mode` flag value.
-    pub fn parse(s: &str) -> Result<IoMode, String> {
-        match s {
-            "auto" => Ok(IoMode::Auto),
-            "blocking" => Ok(IoMode::Blocking),
-            "event" => Ok(IoMode::Event),
-            other => Err(format!(
-                "unknown io mode {other:?}; expected auto, blocking, or event"
-            )),
-        }
-    }
-
     pub fn name(self) -> &'static str {
         match self {
-            IoMode::Auto => "auto",
-            IoMode::Blocking => "blocking",
             IoMode::Event => "event",
-        }
-    }
-
-    /// The mode a server actually runs: `Auto` consults the
-    /// `SPP_IO_MODE` environment opt-in, and `Event` falls back to
-    /// `Blocking` where epoll does not exist.
-    fn resolve(self) -> IoMode {
-        let event_available = event::SUPPORTED;
-        match self {
-            IoMode::Event if event_available => IoMode::Event,
-            IoMode::Event | IoMode::Blocking => IoMode::Blocking,
-            IoMode::Auto => {
-                let opted_in = std::env::var("SPP_IO_MODE").is_ok_and(|v| v == "event");
-                if event_available && opted_in {
-                    IoMode::Event
-                } else {
-                    IoMode::Blocking
-                }
-            }
         }
     }
 }
@@ -235,13 +171,11 @@ pub struct ServeConfig {
     /// answer 401 otherwise. `None` leaves the server open — the
     /// single-machine and trusted-network default.
     pub token: Option<String>,
-    /// How connections wait for request bytes (`--io-mode`).
-    pub io_mode: IoMode,
     /// Whole-message parse deadline, armed at a request's first byte
     /// (the slowloris guard; see [`DEFAULT_HEADER_TIMEOUT`]).
     pub header_timeout: Duration,
-    /// Event-mode fairness cap: pipelined requests served per readiness
-    /// turn before the connection re-parks.
+    /// Fairness cap: pipelined requests served per readiness turn before
+    /// the connection re-parks.
     pub turn_requests: u64,
     /// Upper bound accepted for `POST /solve?budget_ms=` (`--max-budget-ms`);
     /// requests asking for more are rejected with 400 instead of pinning
@@ -265,7 +199,6 @@ impl Default for ServeConfig {
             keepalive_requests: DEFAULT_KEEPALIVE_REQUESTS,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
             token: None,
-            io_mode: IoMode::Auto,
             header_timeout: DEFAULT_HEADER_TIMEOUT,
             turn_requests: DEFAULT_TURN_REQUESTS,
             max_budget_ms: DEFAULT_MAX_BUDGET_MS,
@@ -493,22 +426,17 @@ struct State {
     idle_timeout: Duration,
     /// Whole-message parse deadline (the slowloris guard).
     header_timeout: Duration,
-    /// Event-mode per-readiness-turn pipelining cap.
+    /// Per-readiness-turn pipelining cap.
     turn_requests: u64,
     /// Largest `budget_ms=` a `/solve` request may ask for.
     max_budget_ms: u64,
     /// Largest `improve_streams=` a `/solve` request may ask for.
     max_improve_streams: u64,
-    /// The resolved I/O mode this server runs (never `Auto`).
-    io_mode: IoMode,
-    /// Event-loop shared state; `Some` exactly when `io_mode` is Event.
-    event: Option<Arc<EventShared>>,
+    /// State shared with the event loop: its queues, waker, counters and
+    /// the shutdown flag.
+    event: EventShared,
     token: Option<String>,
-    /// Workers currently blocked in `accept` — connection loops consult
-    /// this to shrink their idle grace when the pool is saturated.
-    accepting: AtomicU64,
     started: Instant,
-    shutdown: AtomicBool,
 }
 
 /// A bound-but-not-yet-running service. [`Server::run`] blocks the
@@ -566,16 +494,10 @@ impl Server {
             }
             None => None,
         };
-        let io_mode = config.io_mode.resolve();
-        let event = match io_mode {
-            IoMode::Event => Some(Arc::new(EventShared::new().map_err(|e| {
-                ServeError::Bind {
-                    addr: config.addr.clone(),
-                    err: format!("cannot set up the event loop: {e}"),
-                }
-            })?)),
-            _ => None,
-        };
+        let event = EventShared::new().map_err(|e| ServeError::Bind {
+            addr: config.addr.clone(),
+            err: format!("cannot set up the event loop: {e}"),
+        })?;
         Ok(Server {
             listener,
             addr,
@@ -593,20 +515,16 @@ impl Server {
                 turn_requests: config.turn_requests.max(1),
                 max_budget_ms: config.max_budget_ms,
                 max_improve_streams: config.max_improve_streams,
-                io_mode,
                 event,
                 token: config.token.clone(),
-                accepting: AtomicU64::new(0),
                 started: Instant::now(),
-                shutdown: AtomicBool::new(false),
             }),
         })
     }
 
-    /// The I/O mode this server will actually run (`Auto` already
-    /// resolved against the platform and the `SPP_IO_MODE` opt-in).
+    /// The I/O mode this server runs (the name `/stats` reports).
     pub fn io_mode(&self) -> IoMode {
-        self.state.io_mode
+        IoMode::Event
     }
 
     /// The actually bound address (resolves `:0` to the picked port).
@@ -614,66 +532,21 @@ impl Server {
         self.addr
     }
 
-    /// Serve until [`ServerHandle::shutdown`] flips the flag. Blocks on a
-    /// fixed [`spp_par::run_workers`] pool: concurrency — connections and
-    /// solves alike — is bounded at `workers` by construction.
+    /// Serve until [`ServerHandle::shutdown`] flips the flag. Blocks on
+    /// the event loop and a fixed pool of `workers` threads: concurrent
+    /// requests — and so concurrent solves — are bounded at `workers` by
+    /// construction.
     pub fn run(self) {
-        let state = &self.state;
-        let listener = &self.listener;
-        if let Some(shared) = &state.event {
-            run_event(listener, state, shared, self.workers);
-            return;
-        }
-        spp_par::run_workers(self.workers, |_| loop {
-            if state.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            state.accepting.fetch_add(1, Ordering::Relaxed);
-            let accepted = listener.accept();
-            state.accepting.fetch_sub(1, Ordering::Relaxed);
-            match accepted {
-                Ok((stream, _)) => {
-                    if state.shutdown.load(Ordering::Relaxed) {
-                        break; // wake-up poke, not a request
-                    }
-                    state
-                        .counters
-                        .connections_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                    // Last-resort unwind guard: per-request panics are
-                    // already caught inside the connection loop, but a
-                    // panic in the loop's own plumbing must still cost
-                    // one connection, not one pool worker.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        handle_connection(&stream, state);
-                    }));
-                }
-                // Transient accept failures (peer reset mid-handshake,
-                // fd pressure): keep the worker alive, but back off —
-                // a persistent failure must not spin every worker hot.
-                Err(_) => {
-                    state
-                        .counters
-                        .accept_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                    if state.shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    std::thread::sleep(ACCEPT_BACKOFF);
-                }
-            }
-        });
+        run_event(&self.listener, &self.state, self.workers);
     }
 
     /// Run on a background thread; the returned handle stops the pool.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.addr;
-        let workers = self.workers;
         let state = Arc::clone(&self.state);
         let thread = std::thread::spawn(move || self.run());
         ServerHandle {
             addr,
-            workers,
             state,
             thread,
         }
@@ -683,7 +556,6 @@ impl Server {
 /// Handle to a running [`Server::spawn`] instance.
 pub struct ServerHandle {
     addr: SocketAddr,
-    workers: usize,
     state: Arc<State>,
     thread: std::thread::JoinHandle<()>,
 }
@@ -708,31 +580,23 @@ impl ServerHandle {
         self.state.counters.snapshot()
     }
 
-    /// Stop accepting, wake every worker, and join the pool.
+    /// Flip the shutdown flag, wake the loop and every worker, and join
+    /// them.
     pub fn shutdown(self) {
-        self.state.shutdown.store(true, Ordering::Relaxed);
-        match &self.state.event {
-            // Event mode: the self-pipe wakes the loop, the condvar
-            // broadcast wakes the pool — no TCP pokes needed.
-            Some(shared) => shared.initiate_shutdown(),
-            // Blocking mode: one poke per worker, so each blocked
-            // accept returns once, sees the flag, and exits.
-            None => {
-                for _ in 0..self.workers {
-                    let _ = TcpStream::connect(self.addr);
-                }
-            }
-        }
+        // The self-pipe wakes the loop, the condvar broadcast wakes the
+        // pool.
+        self.state.event.initiate_shutdown();
         let _ = self.thread.join();
     }
 }
 
-/// Event-mode service: one multiplexer thread (accept + parked
-/// connections + idle deadlines) and `workers` pool threads that only
-/// ever touch connections with readable bytes. The scope joins
-/// everything before returning, and the loop always broadcasts shutdown
-/// on exit so no worker can be left asleep.
-fn run_event(listener: &TcpListener, state: &State, shared: &Arc<EventShared>, workers: usize) {
+/// The service: one multiplexer thread (accept + parked connections +
+/// idle deadlines) and `workers` pool threads that only ever touch
+/// connections with readable bytes. The scope joins everything before
+/// returning, and the loop always broadcasts shutdown on exit so no
+/// worker can be left asleep.
+fn run_event(listener: &TcpListener, state: &State, workers: usize) {
+    let shared = &state.event;
     let counters = &state.counters;
     let on_accept = || {
         counters
@@ -748,28 +612,24 @@ fn run_event(listener: &TcpListener, state: &State, shared: &Arc<EventShared>, w
             .fetch_max(u64::from(served), Ordering::Relaxed);
     };
     std::thread::scope(|scope| {
-        let loop_shared = Arc::clone(shared);
-        scope.spawn(move || {
+        scope.spawn(|| {
             let hooks = EventHooks {
                 on_accept: &on_accept,
                 on_accept_error: &on_accept_error,
                 on_retire: &on_retire,
             };
-            let result = event::run_event_loop(listener, &loop_shared, state.idle_timeout, hooks);
+            let result = event::run_event_loop(listener, shared, state.idle_timeout, hooks);
             // Whatever ended the loop — shutdown or an epoll failure —
             // the pool must not be left blocked on the ready queue.
-            loop_shared.initiate_shutdown();
+            shared.initiate_shutdown();
             if let Err(e) = result {
-                if !state.shutdown.load(Ordering::Relaxed) {
-                    eprintln!("spp-serve: event loop failed: {e}");
-                }
+                eprintln!("spp-serve: event loop failed: {e}");
             }
         });
         for _ in 0..workers {
-            let worker_shared = Arc::clone(shared);
-            scope.spawn(move || {
-                while let Some(conn) = worker_shared.next_ready() {
-                    event_serve(conn, state, &worker_shared);
+            scope.spawn(|| {
+                while let Some(conn) = shared.next_ready() {
+                    event_serve(conn, state, shared);
                 }
             });
         }
@@ -838,48 +698,6 @@ fn write_reply(stream: &TcpStream, reply: &Reply, close: bool) -> Result<(), Htt
     )
 }
 
-/// Wait for the next request at a connection boundary, slicing the idle
-/// wait so the worker re-checks the shutdown flag every [`IDLE_SLICE`].
-/// Returns [`HttpError::Idle`] once the full idle budget (or shutdown)
-/// expires with no byte received; any arriving byte hands off to the
-/// normal request parse, bounded by the whole-message
-/// [`State::header_timeout`] deadline.
-fn read_request_idle(
-    stream: &TcpStream,
-    buf: &mut RecvBuf,
-    state: &State,
-) -> Result<Request, HttpError> {
-    let mut waited = Duration::ZERO;
-    loop {
-        // Under pool pressure (no worker left in `accept`), this
-        // connection's idle grace shrinks so its worker can drain the
-        // backlog; re-checked each slice so relief applies immediately.
-        let budget = if state.accepting.load(Ordering::Relaxed) == 0 {
-            state.idle_timeout.min(PRESSURED_IDLE)
-        } else {
-            state.idle_timeout
-        };
-        let remaining = budget.saturating_sub(waited);
-        if remaining.is_zero() || state.shutdown.load(Ordering::Relaxed) {
-            return Err(HttpError::Idle);
-        }
-        let slice = remaining.min(IDLE_SLICE);
-        stream
-            .set_read_timeout(Some(slice))
-            .map_err(|e| HttpError::Io(e.to_string()))?;
-        match http::read_request(
-            stream,
-            buf,
-            state.max_body,
-            Some(state.header_timeout),
-            false,
-        ) {
-            Err(HttpError::Idle) => waited += slice,
-            other => return other,
-        }
-    }
-}
-
 /// Final response for a request that failed to parse (or to arrive
 /// within its deadline); the connection always closes after — framing
 /// can't be trusted past a malformed message.
@@ -928,51 +746,12 @@ fn respond(stream: &TcpStream, request: &Request, served: u64, state: &State) ->
     let close = request.close
         || panicked
         || served >= state.keepalive_requests
-        || state.shutdown.load(Ordering::Relaxed);
+        || state.event.is_shutdown();
     let written = write_reply(stream, &reply, close);
     state
         .latency
         .record(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     close || written.is_err()
-}
-
-/// Serve one accepted connection (blocking mode): many requests per
-/// socket, bounded by the request budget, the idle timeout, the
-/// client's own `Connection` header, and shutdown. The [`RecvBuf`]
-/// lives as long as the connection — a per-request buffer would drop
-/// read-ahead bytes of a pipelined next request on the floor.
-fn handle_connection(stream: &TcpStream, state: &State) {
-    if stream.set_write_timeout(Some(http::IO_TIMEOUT)).is_err() {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut buf = RecvBuf::new();
-    let mut served: u64 = 0;
-    loop {
-        let request = match read_request_idle(stream, &mut buf, state) {
-            Ok(request) => request,
-            // Clean end of the conversation: peer closed at a boundary,
-            // idle budget spent, or shutdown. Nothing owed.
-            Err(HttpError::Closed | HttpError::Idle) => break,
-            // Peer broke mid-message (disconnect, stall): no one is
-            // listening for a response.
-            Err(HttpError::Io(_)) => break,
-            // Protocol errors (and blown deadlines) get a final
-            // response, then the connection closes.
-            Err(e) => {
-                protocol_error_close(stream, e, state);
-                break;
-            }
-        };
-        served += 1;
-        if respond(stream, &request, served, state) {
-            break;
-        }
-    }
-    state
-        .counters
-        .max_requests_per_connection
-        .fetch_max(served, Ordering::Relaxed);
 }
 
 /// What a worker does with a connection after one readiness turn.
@@ -983,7 +762,7 @@ enum Turn {
     Close(u32),
 }
 
-/// One event-mode service turn under a panic guard: park outcomes go
+/// One service turn under a panic guard: park outcomes go
 /// back to the loop, closes record `max_requests_per_connection` (the
 /// loop does the same for connections it retires itself).
 fn event_serve(conn: EventConn, state: &State, shared: &EventShared) {
@@ -1004,11 +783,11 @@ fn event_serve(conn: EventConn, state: &State, shared: &EventShared) {
     }
 }
 
-/// Serve one readiness turn of an event-mode connection: requests are
-/// parsed and answered exactly like blocking mode, but a boundary with
-/// nothing readable parks the connection instead of holding the worker,
-/// and at most [`State::turn_requests`] pipelined requests are served
-/// before yielding it back to the ready-queue rotation.
+/// Serve one readiness turn of a connection: requests are parsed and
+/// answered on a blocking socket, a boundary with nothing readable parks
+/// the connection instead of holding the worker, and at most
+/// [`State::turn_requests`] pipelined requests are served before
+/// yielding it back to the ready-queue rotation.
 fn serve_turn(mut conn: EventConn, state: &State, shared: &EventShared) -> Turn {
     if conn.served == 0 {
         // First time a worker touches this connection.
@@ -1023,14 +802,14 @@ fn serve_turn(mut conn: EventConn, state: &State, shared: &EventShared) -> Turn 
     }
     let mut turn_served: u64 = 0;
     loop {
-        if state.shutdown.load(Ordering::Relaxed) {
+        if shared.is_shutdown() {
             return Turn::Close(conn.served);
         }
         // Boundary probe on the non-blocking socket. The moment a first
         // byte arrives, `read_request` flips the socket back to
         // blocking and arms the whole-message deadline, so the rest of
-        // the parse — and the response write — run exactly like
-        // blocking mode.
+        // the parse — and the response write — block under those
+        // deadlines.
         let request = match http::read_request(
             &conn.stream,
             &mut conn.buf,
@@ -1577,20 +1356,18 @@ fn stats_reply(state: &State) -> Reply {
             "  \"max_requests_per_connection\": {},",
             c.max_requests_per_connection
         );
-        let _ = writeln!(body, "  \"io_mode\": \"{}\",", state.io_mode.name());
-        if let Some(shared) = &state.event {
-            let ev = shared.counters.snapshot();
-            let _ = writeln!(
-                body,
-                "  \"event\": {{\"parked_connections\": {}, \"wakeups\": {}, \
-                 \"readiness_batches\": {}, \"eagain_retries\": {}, \"timer_expiries\": {}}},",
-                ev.parked_connections,
-                ev.wakeups,
-                ev.readiness_batches,
-                ev.eagain_retries,
-                ev.timer_expiries
-            );
-        }
+        let _ = writeln!(body, "  \"io_mode\": \"{}\",", IoMode::Event.name());
+        let ev = state.event.counters.snapshot();
+        let _ = writeln!(
+            body,
+            "  \"event\": {{\"parked_connections\": {}, \"wakeups\": {}, \
+             \"readiness_batches\": {}, \"eagain_retries\": {}, \"timer_expiries\": {}}},",
+            ev.parked_connections,
+            ev.wakeups,
+            ev.readiness_batches,
+            ev.eagain_retries,
+            ev.timer_expiries
+        );
         let _ = writeln!(
             body,
             "  \"mean_requests_per_connection\": {:.2},",

@@ -1,7 +1,7 @@
 //! `ShardedCache` — one logical [`SolveCache`] spread across N
 //! `spp serve --cache-dir` nodes by consistent hashing.
 //!
-//! The cache outgrew one disk (and one server's accept pool) before it
+//! The cache outgrew one disk (and one server's worker pool) before it
 //! outgrew its wire format, so this backend adds **zero** new protocol:
 //! every node is a stock cache server, and the fan-out lives entirely on
 //! the client side of the [`SolveCache`] seam. Placement comes from

@@ -1,14 +1,13 @@
-//! Integration tests of `--io-mode event` (Linux only): the epoll
-//! multiplexer must keep the exact request/response semantics of the
-//! blocking pool — pipelined bytes buffered before a park survive the
-//! resume, a heavy pipeliner cannot starve other clients past the
-//! per-turn cap, idle connections cost zero workers, the slowloris
-//! guard closes trickling clients with a 408, and `/stats` exposes the
-//! event-loop counters.
+//! Integration tests of the default server's epoll event loop (Linux
+//! only): pipelined bytes buffered before a park survive the resume, a
+//! heavy pipeliner cannot starve other clients past the per-turn cap,
+//! idle connections cost zero workers, the slowloris guard closes
+//! trickling clients with a 408, and `/stats` exposes the event-loop
+//! counters.
 #![cfg(target_os = "linux")]
 
 use spp_serve::http::{read_response, RecvBuf, Response};
-use spp_serve::{IoMode, ServeConfig, Server, ServerHandle};
+use spp_serve::{ServeConfig, Server, ServerHandle};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -24,11 +23,8 @@ fn start_event(tag: &str, tune: impl FnOnce(&mut ServeConfig)) -> ServerHandle {
     let dir = tmp(tag);
     let mut config = ServeConfig::new(&dir);
     config.workers = 4;
-    config.io_mode = IoMode::Event;
     tune(&mut config);
-    let server = Server::bind(&config).unwrap();
-    assert_eq!(server.io_mode(), IoMode::Event, "epoll path not taken");
-    server.spawn()
+    Server::bind(&config).unwrap().spawn()
 }
 
 fn connect(authority: &str) -> TcpStream {
@@ -112,8 +108,7 @@ fn heavy_pipeliner_cannot_starve_a_second_client() {
 
 /// The tentpole property in miniature: connections that never send a
 /// byte park on the event loop, so a single-worker server stays fully
-/// responsive behind a crowd of idle clients. (The blocking pool would
-/// dedicate its one worker to idle-waiting on the first of them.)
+/// responsive behind a crowd of idle clients.
 #[test]
 fn idle_connections_cost_zero_workers() {
     let server = start_event("idle_free", |c| {
@@ -147,25 +142,8 @@ fn trickling_client_gets_408_in_event_mode() {
     let server = start_event("slowloris_event", |c| {
         c.header_timeout = Duration::from_millis(300);
     });
-    assert_trickler_rejected(&server.authority());
-    server.shutdown();
-}
-
-/// The same guard holds in the blocking pool (`--io-mode blocking`).
-#[test]
-fn trickling_client_gets_408_in_blocking_mode() {
-    let dir = tmp("slowloris_blocking");
-    let mut config = ServeConfig::new(&dir);
-    config.workers = 4;
-    config.io_mode = IoMode::Blocking;
-    config.header_timeout = Duration::from_millis(300);
-    let server = Server::bind(&config).unwrap().spawn();
-    assert_trickler_rejected(&server.authority());
-    server.shutdown();
-}
-
-fn assert_trickler_rejected(authority: &str) {
-    let mut trickler = connect(authority);
+    let authority = server.authority();
+    let mut trickler = connect(&authority);
     // A few bytes inside the deadline window, then silence: the clock
     // armed at the first byte keeps running (the http-layer unit test
     // proves trickling never resets it) and expires mid-header.
@@ -180,10 +158,11 @@ fn assert_trickler_rejected(authority: &str) {
     assert!(r.close, "a timed-out connection must be closed");
 
     // A well-behaved client on the same server is unaffected.
-    let mut fine = connect(authority);
+    let mut fine = connect(&authority);
     send_stats_requests(&mut fine, 1);
     let mut fine_buf = RecvBuf::new();
     assert_eq!(read_response(&fine, &mut fine_buf).unwrap().status, 200);
+    server.shutdown();
 }
 
 /// `/stats` reports the event-loop counters, and they move: serving

@@ -67,7 +67,7 @@ use strip_packing::engine::{
     WorkSource,
 };
 use strip_packing::gen::rects::DagFamily;
-use strip_packing::serve::{HttpCache, IoMode, RemoteLease, ServeConfig, Server, ShardedCache};
+use strip_packing::serve::{HttpCache, RemoteLease, ServeConfig, Server, ShardedCache};
 
 /// Every command's flags. An entry is a `  spp <command>` line plus its
 /// deeper-indented continuation lines; a `<placeholder>` after a flag
@@ -108,13 +108,11 @@ usage:
           [--max-improve-streams <k>] [--cache-readonly]
           [--token-file <file>]
           [--keepalive-requests <n>] [--idle-timeout-ms <ms>]
-          [--io-mode <auto|blocking|event>]
   spp dispatch (--input-dir <dir> | --file-list <file>) [--algos <a1,a2,..>]
           [--addr <host:port>] [--lease-files <n>] [--lease-timeout <secs>]
           [--cache-dir <dir>] [--cache-readonly] [--workers <n>]
           [--max-body <bytes>] [--token-file <file>]
           [--keepalive-requests <n>] [--idle-timeout-ms <ms>]
-          [--io-mode <auto|blocking|event>]
           [--epsilon <f64>] [-k <usize>] [--shelf-r <f64>] [--strict]
           [--budget-ms <ms>] [--improve-seed <u64>]
           [--improve-streams <k>] [--improve-workers <n>] [--improve-envelope]
@@ -125,8 +123,7 @@ usage:
   spp bench serve [--url <http://host:port>] [--clients <n>]
           [--mode <keepalive|close|both>] [--workload <cache-hit|solve>]
           [--duration-ms <ms> | --requests <n>] [--rate <rps>]
-          [--workers <n>] [--out <file>] [--io-mode <auto|blocking|event>]
-          [--idle-clients <n>]
+          [--workers <n>] [--out <file>] [--idle-clients <n>]
   spp algos
 
 run `spp algos` for the algorithm registry with capability flags";
@@ -1256,8 +1253,8 @@ fn cmd_serve(args: &Args) -> ExitCode {
 }
 
 /// Apply the listener flags shared by `spp serve` and `spp dispatch`:
-/// address, pool size, body cap, read-only cache, token, keep-alive
-/// budgets and the I/O mode.
+/// address, pool size, body cap, read-only cache, token and keep-alive
+/// budgets.
 fn listener_from_args(args: &Args, config: &mut ServeConfig) {
     if let Some(addr) = args.get("--addr") {
         config.addr = addr.to_string();
@@ -1272,16 +1269,6 @@ fn listener_from_args(args: &Args, config: &mut ServeConfig) {
     if let Some(ms) = args.value("--idle-timeout-ms") {
         config.idle_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(mode) = io_mode_from_args(args) {
-        config.io_mode = mode;
-    }
-}
-
-/// Parse `--io-mode <auto|blocking|event>` (shared by `spp serve`,
-/// `spp dispatch`, and `spp bench serve`).
-fn io_mode_from_args(args: &Args) -> Option<IoMode> {
-    let mode = args.get("--io-mode")?;
-    Some(IoMode::parse(mode).unwrap_or_else(|e| args.fail(e)))
 }
 
 /// `spp bench serve`: load-test the HTTP serving layer and prove its
@@ -1301,17 +1288,14 @@ fn io_mode_from_args(args: &Args) -> Option<IoMode> {
 /// table goes to stdout; `--out` additionally writes the runs as
 /// `spp-bench` records — `experiment` "serve", `algo` the mode, `family`
 /// the workload, `n` completed requests, `height` RPS, `ratio` p99 ms —
-/// the `BENCH_SERVE.json` baseline CI smoke-checks. With `--io-mode`
-/// and/or `--idle-clients` the family string is suffixed
-/// (`cache-hit@event+idle500`) so runs stay distinguishable in the same
-/// fixed record schema.
+/// the `BENCH_SERVE.json` baseline CI smoke-checks. With
+/// `--idle-clients` the family string is suffixed (`cache-hit+idle500`)
+/// so runs stay distinguishable in the same fixed record schema.
 ///
 /// `--idle-clients N` measures RPS-vs-idle-count: every mode runs once
 /// with zero idle connections and once with N idle keep-alive
-/// connections parked alongside the active clients — the load shape
-/// `--io-mode event` exists for (idle connections must cost ~nothing)
-/// and the one where blocking mode visibly degrades (idle connections
-/// each pin a pool worker for the pressured idle budget).
+/// connections parked alongside the active clients — idle connections
+/// park on the server's event loop and must cost ~nothing.
 ///
 /// Exits nonzero if any request errored (or any idle connection failed
 /// to stand up): a load test that quietly dropped requests would prove
@@ -1322,7 +1306,6 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
 
     let clients: usize = args.value("--clients").unwrap_or(4);
     let idle_clients: Option<usize> = args.value("--idle-clients");
-    let io_mode = io_mode_from_args(args);
     let modes: Vec<Mode> = match args.get("--mode") {
         None | Some("both") => vec![Mode::Keepalive, Mode::Close],
         Some("keepalive") => vec![Mode::Keepalive],
@@ -1346,13 +1329,14 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
     let rate: Option<f64> = args.value("--rate");
 
     // The server under test: the user's (--url) or our own scratch one.
-    let (authority, server, io_label) = match args.get("--url") {
+    let (authority, server) = match args.get("--url") {
         Some(url) => {
-            for flag in ["--workers", "--io-mode"] {
-                args.refuse(flag, "with --url (they configure the self-spawned server)");
-            }
+            args.refuse(
+                "--workers",
+                "with --url (it configures the self-spawned server)",
+            );
             match http::parse_base_url(url) {
-                Ok(a) => (a, None, None),
+                Ok(a) => (a, None),
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::from(2);
@@ -1368,26 +1352,18 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
             let mut config = ServeConfig::new(&dir);
             config.addr = "127.0.0.1:0".into();
             config.workers = args.value("--workers").unwrap_or(config.workers);
-            if let Some(mode) = io_mode {
-                config.io_mode = mode;
-            }
-            let bound = match Server::bind(&config) {
-                Ok(s) => s,
+            let handle = match Server::bind(&config) {
+                Ok(s) => s.spawn(),
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            // Record the *resolved* mode (an `event` ask on a platform
-            // without epoll runs blocking — the label must say so).
-            let label = io_mode.map(|_| bound.io_mode().name());
-            let handle = bound.spawn();
             eprintln!(
-                "bench: spawned scratch server on http://{} (io-mode {})",
-                handle.local_addr(),
-                label.unwrap_or("auto")
+                "bench: spawned scratch server on http://{}",
+                handle.local_addr()
             );
-            (handle.authority(), Some(handle), label)
+            (handle.authority(), Some(handle))
         }
     };
 
@@ -1466,18 +1442,10 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
         _ => vec![0],
     };
     // `family` keeps runs distinguishable inside the fixed BenchRecord
-    // schema: workload, then "@<io-mode>" when one was asked for, then
-    // "+idle<N>" when idle clients were.
-    let family_of = |idle: usize| {
-        let mut family = workload.clone();
-        if let Some(label) = io_label {
-            family.push('@');
-            family.push_str(label);
-        }
-        if idle_clients.is_some() {
-            family.push_str(&format!("+idle{idle}"));
-        }
-        family
+    // schema: workload, then "+idle<N>" when idle clients were asked for.
+    let family_of = |idle: usize| match idle_clients {
+        Some(_) => format!("{workload}+idle{idle}"),
+        None => workload.clone(),
     };
     println!(
         "| {:<9} | {:>6} | {:>9} | {:>6} | {:>7} | {:>9} | {:>8} | {:>8} | {:>8} | {:>8} |",
@@ -1558,8 +1526,8 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
             eprintln!("bench: keepalive/close rps ratio {:.2}x", ka / cl);
         }
     }
-    // RPS retention under idle load — the number `--io-mode event`
-    // exists to hold near 100%.
+    // RPS retention under idle load — the number the event loop's
+    // parked connections hold near 100%.
     for (mode, idle, rps) in &rps_by_mode_idle {
         if let Some((_, base)) = rps_by_mode.iter().find(|(m, _)| m == mode) {
             if *base > 0.0 {

@@ -578,6 +578,22 @@ fn removed_manifest_flag_is_rejected_with_pointer_to_cache_dir() {
     );
 }
 
+/// `--io-mode` is gone: every server runs the epoll event loop, so the
+/// flag is refused like any unlisted one, by name.
+#[test]
+fn removed_io_mode_flag_is_refused_by_name() {
+    for command in [
+        &["serve", "--cache-dir", "/nonexistent"][..],
+        &["dispatch", "--input-dir", "/nonexistent"],
+        &["bench", "serve"],
+    ] {
+        let mut args = command.to_vec();
+        args.extend(["--io-mode", "event"]);
+        let stderr = refused(&args);
+        assert!(stderr.contains("--io-mode"), "{args:?}: {stderr}");
+    }
+}
+
 /// `--cache-readonly` consults but never grows the cache.
 #[test]
 fn cache_readonly_serves_without_writing() {
