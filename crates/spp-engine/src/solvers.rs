@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use spp_core::{Instance, Placement};
-use spp_pack::{Packer, StripPacker};
+use spp_pack::{OnlineShelfPacker, Packer, StripPacker};
 use spp_release::online::OnlinePolicy;
 use spp_release::AptasConfig;
 
@@ -327,6 +327,21 @@ impl Solver for OnlineSolver {
                     reason: format!("shelf ratio r = {r} outside (0, 1)"),
                 });
             }
+            if let Some(item) = req
+                .prec
+                .inst
+                .items()
+                .iter()
+                .find(|item| !OnlineShelfPacker::class_fits(r, item.h))
+            {
+                return Err(EngineError::Unsupported {
+                    solver: self.name.into(),
+                    reason: format!(
+                        "shelf ratio r = {r} is too close to 1 for an item of height {}",
+                        item.h
+                    ),
+                });
+            }
         }
         Ok(())
     }
@@ -500,15 +515,21 @@ mod tests {
         let report = solve(&OnlineSolver::shelf(), &SolveRequest::unconstrained(inst)).unwrap();
         assert!(report.validation.passed());
 
-        // A ratio so close to 1 that log_r(h) saturates i32 used to wrap
-        // the guard's k around forever.
-        let inst = Instance::from_dims(&[(0.5, 0.5), (0.5, 1e-10)]).unwrap();
-        let mut req = SolveRequest::unconstrained(inst);
-        req.config.shelf_r = 1.0 - 1e-12;
-        assert!(solve(&OnlineSolver::shelf(), &req)
-            .unwrap()
-            .validation
-            .passed());
+        // A ratio so close to 1 that log_r(h) leaves i32 used to wrap
+        // the guard's k around forever, and once k saturated instead, to
+        // open shelves shorter than their items; such a ratio is refused.
+        for (dims, r) in [
+            (&[(0.5, 0.5), (0.5, 1e-10)][..], 1.0 - 1e-12),
+            (&[(0.5, 2.0), (0.5, 2.0)][..], 0.9999999999),
+        ] {
+            let mut req = SolveRequest::unconstrained(Instance::from_dims(dims).unwrap());
+            req.config.shelf_r = r;
+            let err = solve(&OnlineSolver::shelf(), &req).unwrap_err();
+            assert!(
+                matches!(err, EngineError::Unsupported { .. }),
+                "r = {r}: {err}"
+            );
+        }
     }
 
     #[test]

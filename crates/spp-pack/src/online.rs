@@ -33,6 +33,17 @@ struct OpenShelf {
     used: f64,
 }
 
+/// The height the class guards compare against: `h - EPS` absorbs
+/// rounding, but for an item no taller than EPS that would be ≤ 0, below
+/// every power of r, so such an item is classed exactly instead.
+fn guard_height(h: f64) -> f64 {
+    if h > spp_core::eps::EPS {
+        h - spp_core::eps::EPS
+    } else {
+        h
+    }
+}
+
 impl OnlineShelfPacker {
     /// `r ∈ (0, 1)` is the bucketing ratio (heights are rounded up to the
     /// nearest power of `r`); `r ≈ 0.622` minimizes the classic
@@ -46,23 +57,27 @@ impl OnlineShelfPacker {
         }
     }
 
+    /// Whether the height class of `h` under ratio `r` has an `i32`
+    /// exponent, as [`insert`](Self::insert) needs. False only for `r`
+    /// within about 1e-9 of 1 and heights far from 1, where `log_r(h)`
+    /// leaves the range of `i32`.
+    pub fn class_fits(r: f64, h: f64) -> bool {
+        [h, guard_height(h)].iter().all(|x| {
+            let k = (x.ln() / r.ln()).floor();
+            f64::from(i32::MIN) + 2.0 < k && k < f64::from(i32::MAX) - 2.0
+        })
+    }
+
     /// Height class exponent of `h`: the unique k with
     /// `r^{k+1} < h ≤ r^k` (k may be negative for h > 1), up to an `EPS`
     /// tolerance for items taller than `EPS`.
     fn class_of(&self, h: f64) -> i32 {
-        // The guards compare against `h - EPS`, which absorbs rounding;
-        // for an item no taller than EPS that would be ≤ 0, below every
-        // power of r, so such an item is classed exactly instead.
-        let lo = if h > spp_core::eps::EPS {
-            h - spp_core::eps::EPS
-        } else {
-            h
-        };
+        let lo = guard_height(h);
         // smallest k with r^k >= h  <=>  k <= log_r(h); log_r decreasing
         let mut k = (h.ln() / self.r.ln()).floor() as i32;
         // guard against boundary rounding; the checked steps stop at the
-        // ends of i32, which the cast saturates to when r is within a
-        // few ulps of 1
+        // ends of i32, which the cast saturates to when the class does
+        // not fit (see `class_fits`)
         while self.r.powi(k) < lo {
             let Some(next) = k.checked_sub(1) else { break };
             k = next;

@@ -1,56 +1,65 @@
 //! Readiness-driven connection multiplexer for `spp serve`.
 //!
-//! One event-loop thread owns the listener and every parked keep-alive
-//! connection through epoll, so thousands of idle clients cost zero pool
-//! workers. The loop never parses bytes: when a parked socket becomes
-//! readable it hands the connection to the worker pool (`EventShared`'s
-//! ready queue), and the worker parses the request, handles it and
-//! writes the response. After a response the worker parks the
-//! connection back here instead of holding its thread.
+//! Every keep-alive connection between requests is parked in one epoll
+//! instance, so thousands of idle clients cost zero pool workers. The
+//! workers themselves wait on that instance: a request's bytes wake one
+//! worker straight from the kernel, and the worker parses the request,
+//! handles it, writes the response and parks the connection back
+//! instead of holding its thread. One event-loop thread owns the
+//! listener and the idle deadlines; it never touches a request.
 //!
 //! The epoll surface is bound directly over the already-linked libc via
 //! `extern "C"` — no new dependencies, Linux-only. On other platforms
 //! [`EventShared::new`] fails with `Unsupported`, and so does binding a
 //! server.
 //!
-//! Protocol between loop and workers:
+//! Protocol between the loop and the workers:
 //!
-//! - Accepted sockets are set non-blocking and pushed straight to the
-//!   ready queue: a worker probes once, and if no bytes are there yet
-//!   (`EAGAIN`) it parks the connection, which registers it with epoll.
-//! - Parked fds use `EPOLLONESHOT`: a readiness event disarms the fd,
-//!   the loop deletes it from the interest set and moves the connection
-//!   to the ready queue, so exactly one worker ever owns a socket.
+//! - Sockets stay blocking for their whole life. At a request boundary
+//!   a worker probes with one `recv(MSG_DONTWAIT)` (`recv_nowait`);
+//!   once a request has started, reads block under the message
+//!   deadlines.
+//! - [`EventShared::park`] files a connection in the parked set and
+//!   arms its fd with `EPOLLONESHOT`. The loop parks each accepted
+//!   connection; a worker parks one after a response, or after a probe
+//!   that found nothing (`EAGAIN`). The fd joins the interest set at its
+//!   first park and is re-armed in place (`EPOLL_CTL_MOD`) after that,
+//!   so a park costs one syscall. Parked connections are keyed by a
+//!   token that is never reused, so a stale event cannot reach a newer
+//!   socket on a recycled fd.
+//! - A readiness event wakes exactly one waiting worker and disarms the
+//!   fd, so exactly one worker ever owns a socket.
 //! - A connection parked with buffered pipelined bytes bypasses epoll
-//!   entirely (the kernel cannot see userspace buffers): the loop
-//!   requeues it at the ready-queue tail, which doubles as the fairness
-//!   rotation for the per-turn request cap.
+//!   entirely (the kernel cannot see userspace buffers): it goes to the
+//!   ready queue, which workers drain in turn with epoll's ready
+//!   connections — the fairness rotation for the per-turn request cap.
 //! - Idle timeouts are the loop's job: each parked connection carries a
-//!   deadline, `epoll_wait`'s timeout is the cheapest deadline (capped
-//!   at [`IDLE_POLL_CAP`]), and expired connections are dropped — a
-//!   parked socket has no unread data, so the close is a clean FIN.
-//! - Shutdown wakes the loop through a self-pipe and the workers
-//!   through a condvar broadcast; `next_ready` checks the flag first so
-//!   workers exit promptly even with work still queued.
+//!   deadline, the loop's `epoll_wait` timeout is the cheapest deadline
+//!   (capped at [`IDLE_POLL_CAP`]), and expired connections are dropped
+//!   — a parked socket has no unread data, so the close is a clean FIN.
+//!   A park whose deadline falls before the loop's current sleep ends
+//!   wakes the loop through a self-pipe.
+//! - Shutdown wakes the loop through that self-pipe and the workers
+//!   through a second, level-triggered pipe that is never drained;
+//!   workers check the flag before every wait.
 
-use std::collections::VecDeque;
-use std::net::TcpStream;
+// Off Linux only the stubs exist, so the loop never reads its state.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
+
+use std::collections::{HashMap, VecDeque};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use crate::http::RecvBuf;
 
-/// Upper bound on one `epoll_wait` sleep even with no parked deadlines,
-/// so the loop re-checks shutdown and the park inbox defensively.
+/// Upper bound on one `epoll_wait` sleep, so the loop and the workers
+/// re-check shutdown defensively.
 pub const IDLE_POLL_CAP: Duration = Duration::from_millis(500);
 
-/// Readiness events drained per `epoll_wait` call.
-#[cfg(target_os = "linux")]
-const MAX_EVENTS: usize = 256;
-
 /// Connections accepted per readiness turn before yielding back to the
-/// loop, so an accept flood cannot starve parked-connection service.
+/// loop, so an accept flood cannot starve the idle-deadline scan.
 #[cfg(target_os = "linux")]
 const ACCEPT_BURST: usize = 1024;
 
@@ -59,15 +68,27 @@ const ACCEPT_BURST: usize = 1024;
 #[cfg(target_os = "linux")]
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// A keep-alive connection travelling between the event loop and the
-/// worker pool. Owns the socket and the connection-long receive buffer
-/// so pipelined bytes survive a park/resume cycle.
+/// Epoll tokens of the fds that are not connections; connection tokens
+/// count up from 1.
+#[cfg(target_os = "linux")]
+const LISTENER_TOKEN: u64 = u64::MAX;
+#[cfg(target_os = "linux")]
+const WAKER_TOKEN: u64 = u64::MAX - 1;
+#[cfg(target_os = "linux")]
+const STOP_TOKEN: u64 = u64::MAX - 2;
+
+/// A keep-alive connection travelling between epoll and the worker
+/// pool. Owns the socket and the connection-long receive buffer so
+/// pipelined bytes survive a park/resume cycle.
 pub struct EventConn {
     pub stream: TcpStream,
     pub buf: RecvBuf,
     /// Requests served on this connection so far (the keep-alive budget
     /// and `max_requests_per_connection` bookkeeping).
     pub served: u32,
+    /// Epoll token, assigned when the fd joins the interest set at its
+    /// first park.
+    token: Option<u64>,
 }
 
 impl EventConn {
@@ -76,6 +97,7 @@ impl EventConn {
             stream,
             buf: RecvBuf::new(),
             served: 0,
+            token: None,
         }
     }
 }
@@ -85,7 +107,7 @@ impl EventConn {
 pub struct EventCounters {
     /// Gauge: connections currently parked in the epoll interest set.
     pub parked_connections: AtomicU64,
-    /// `epoll_wait` returns (readiness or timeout).
+    /// `epoll_wait` returns (readiness or timeout), loop and workers.
     pub wakeups: AtomicU64,
     /// `epoll_wait` returns that delivered at least one event.
     pub readiness_batches: AtomicU64,
@@ -115,6 +137,13 @@ impl EventCounters {
             timer_expiries: self.timer_expiries.load(Ordering::Relaxed),
         }
     }
+
+    fn count_wait(&self, events: usize) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        if events > 0 {
+            self.readiness_batches.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Server-side callbacks the loop invokes so connection-economics
@@ -125,83 +154,204 @@ pub struct EventHooks<'a> {
     pub on_accept: &'a (dyn Fn() + Sync),
     /// `accept()` failed with a non-retryable error.
     pub on_accept_error: &'a (dyn Fn() + Sync),
-    /// A connection is being closed by the loop (idle expiry, register
-    /// failure, or shutdown); the argument is its served-request count.
+    /// A connection is being closed by the loop (idle expiry or
+    /// shutdown); the argument is its served-request count.
     pub on_retire: &'a (dyn Fn(u32) + Sync),
 }
 
-/// State shared between the event loop and the worker pool: the park
-/// inbox (worker → loop), the ready queue (loop → worker), the shutdown
-/// flag, and the self-pipe waker.
+/// A connection armed in epoll and when its idle budget runs out.
+struct Parked {
+    conn: EventConn,
+    deadline: Instant,
+}
+
+/// The parked connections by token, and the loop's timer state.
+#[derive(Default)]
+struct ParkedSet {
+    conns: HashMap<u64, Parked>,
+    /// Last token handed out.
+    last_token: u64,
+    /// Cheapest parked deadline, maintained incrementally: parks can
+    /// only pull it earlier, so the full O(parked) rescan happens only
+    /// when it actually fires. Removals may leave it stale-early, which
+    /// costs at most one spurious timeout wakeup, never a late expiry.
+    next_deadline: Option<Instant>,
+    /// When the loop's current `epoll_wait` times out, while it sleeps.
+    sleep_until: Option<Instant>,
+}
+
+/// State shared between the event loop and the worker pool: the two
+/// epoll instances, the parked set, the ready queue, the shutdown flag
+/// and the two wake pipes.
 pub struct EventShared {
-    inbox: Mutex<Vec<EventConn>>,
-    ready: Mutex<VecDeque<EventConn>>,
-    ready_cv: Condvar,
-    shutdown: AtomicBool,
+    /// Parked connections and the stop pipe: the workers wait here.
+    conns: Poller,
+    /// The listener and the waker: the loop waits here.
+    control: Poller,
     waker: Waker,
+    stop: Waker,
+    parked: Mutex<ParkedSet>,
+    ready: Mutex<VecDeque<EventConn>>,
+    shutdown: AtomicBool,
+    idle_timeout: Duration,
     pub counters: EventCounters,
 }
 
 impl EventShared {
-    pub fn new() -> std::io::Result<EventShared> {
+    /// Create the epoll instances and register `listener` (switched to
+    /// non-blocking) and the wake pipes with them. Parked connections
+    /// are closed after `idle_timeout` without a request.
+    pub fn new(listener: &TcpListener, idle_timeout: Duration) -> std::io::Result<EventShared> {
+        let waker = Waker::new()?;
+        let stop = Waker::new()?;
+        listener.set_nonblocking(true)?;
         Ok(EventShared {
-            inbox: Mutex::new(Vec::new()),
+            conns: Poller::conns(&stop)?,
+            control: Poller::control(listener, &waker)?,
+            waker,
+            stop,
+            parked: Mutex::new(ParkedSet::default()),
             ready: Mutex::new(VecDeque::new()),
-            ready_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            waker: Waker::new()?,
+            idle_timeout,
             counters: EventCounters::default(),
         })
     }
 
-    /// Worker → loop: return a connection to the multiplexer after a
-    /// response (or after an empty boundary probe).
-    pub fn park(&self, conn: EventConn) {
-        self.inbox.lock().unwrap().push(conn);
-        self.waker.wake();
+    /// Hand a connection to the multiplexer until its next bytes
+    /// arrive: accepted, after a response, or after an empty boundary
+    /// probe. A connection that cannot be parked — the server is
+    /// shutting down, or epoll refused the fd — comes back as `Err` for
+    /// the caller to close.
+    pub fn park(&self, mut conn: EventConn) -> Result<(), EventConn> {
+        if conn.buf.has_buffered() {
+            self.ready.lock().unwrap().push_back(conn);
+            return Ok(());
+        }
+        let deadline = Instant::now() + self.idle_timeout;
+        let mut set = self.parked.lock().unwrap();
+        if self.is_shutdown() {
+            return Err(conn);
+        }
+        let (token, register) = match conn.token {
+            Some(token) => (token, false),
+            None => (set.last_token + 1, true),
+        };
+        // Armed under the lock: a worker woken at once waits for the
+        // insert below before it can look the token up.
+        if self.conns.arm(&conn.stream, token, register).is_err() {
+            return Err(conn);
+        }
+        set.last_token = set.last_token.max(token);
+        conn.token = Some(token);
+        set.conns.insert(token, Parked { conn, deadline });
+        self.counters
+            .parked_connections
+            .store(set.conns.len() as u64, Ordering::Relaxed);
+        set.next_deadline = Some(set.next_deadline.map_or(deadline, |d| d.min(deadline)));
+        let wake = set.sleep_until.is_some_and(|t| deadline < t);
+        drop(set);
+        if wake {
+            self.waker.wake();
+        }
+        Ok(())
     }
 
-    /// Loop → worker: enqueue a connection with readable (or buffered)
-    /// bytes for service.
-    pub fn push_ready(&self, conn: EventConn) {
-        self.ready.lock().unwrap().push_back(conn);
-        self.ready_cv.notify_one();
-    }
-
-    /// Worker-side blocking pop. Returns `None` on shutdown — checked
-    /// before the queue so workers exit promptly even with work queued.
-    pub fn next_ready(&self) -> Option<EventConn> {
-        let mut ready = self.ready.lock().unwrap();
+    /// Worker side: wait for the next connection with readable (or
+    /// buffered) bytes. Returns `None` on shutdown — checked before
+    /// every wait, so workers exit promptly even with work queued.
+    ///
+    /// While the ready queue holds connections the wait does not block,
+    /// and a connection epoll reports joins the queue's tail: buffered
+    /// pipeliners and newly readable sockets take turns in arrival
+    /// order.
+    pub fn next_ready(&self) -> std::io::Result<Option<EventConn>> {
         loop {
             if self.is_shutdown() {
-                return None;
+                return Ok(None);
+            }
+            let queued = !self.ready.lock().unwrap().is_empty();
+            let timeout = if queued {
+                Duration::ZERO
+            } else {
+                IDLE_POLL_CAP
+            };
+            let token = self.conns.wait_one(timeout)?;
+            self.counters.count_wait(usize::from(token.is_some()));
+            let woken = token.and_then(|token| self.unpark(token));
+            let mut ready = self.ready.lock().unwrap();
+            match woken {
+                Some(conn) if ready.is_empty() => return Ok(Some(conn)),
+                Some(conn) => ready.push_back(conn),
+                None => {}
             }
             if let Some(conn) = ready.pop_front() {
-                return Some(conn);
+                return Ok(Some(conn));
             }
-            ready = self.ready_cv.wait(ready).unwrap();
         }
+    }
+
+    /// Take a connection whose one-shot event fired out of the parked
+    /// set; `None` if the idle scan closed it first (or the token is a
+    /// pipe's).
+    fn unpark(&self, token: u64) -> Option<EventConn> {
+        let mut set = self.parked.lock().unwrap();
+        let parked = set.conns.remove(&token)?;
+        self.counters
+            .parked_connections
+            .store(set.conns.len() as u64, Ordering::Relaxed);
+        Some(parked.conn)
     }
 
     pub fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.wake();
-        self.ready_cv.notify_all();
+        self.stop.wake();
     }
 
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
+}
 
-    #[cfg(target_os = "linux")]
-    fn drain_inbox(&self) -> Vec<EventConn> {
-        std::mem::take(&mut *self.inbox.lock().unwrap())
+/// One `recv(MSG_DONTWAIT)` on a blocking socket: the request-boundary
+/// probe. `WouldBlock` means nothing is readable yet; `Ok(0)` is EOF.
+#[cfg(target_os = "linux")]
+pub(crate) fn recv_nowait(stream: &TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
+    use std::os::unix::io::AsRawFd;
+    loop {
+        // SAFETY: the fd is live for the borrow of `stream`, and buf is
+        // a valid writable buffer of the length we pass.
+        let n = unsafe {
+            sys::recv(
+                stream.as_raw_fd(),
+                buf.as_mut_ptr().cast(),
+                buf.len(),
+                sys::MSG_DONTWAIT,
+            )
+        };
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        let err = std::io::Error::last_os_error();
+        if err.kind() != std::io::ErrorKind::Interrupted {
+            return Err(err);
+        }
     }
+}
 
-    #[cfg(target_os = "linux")]
-    fn drain_ready(&self) -> Vec<EventConn> {
-        self.ready.lock().unwrap().drain(..).collect()
-    }
+/// There is no server off Linux, so nothing probes there.
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn recv_nowait(_stream: &TcpStream, _buf: &mut [u8]) -> std::io::Result<usize> {
+    Err(unsupported())
+}
+
+#[cfg(not(target_os = "linux"))]
+fn unsupported() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "the event loop requires linux epoll",
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +364,7 @@ mod sys {
 
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
+    pub const EPOLL_CTL_MOD: c_int = 3;
     pub const EPOLLIN: u32 = 0x1;
     pub const EPOLLERR: u32 = 0x8;
     pub const EPOLLHUP: u32 = 0x10;
@@ -222,6 +372,7 @@ mod sys {
     pub const EPOLLONESHOT: u32 = 1 << 30;
     pub const O_NONBLOCK: c_int = 0o4000;
     pub const O_CLOEXEC: c_int = 0o2000000;
+    pub const MSG_DONTWAIT: c_int = 0x40;
 
     /// `struct epoll_event` is packed on x86_64 (a kernel ABI quirk)
     /// and naturally aligned everywhere else.
@@ -246,12 +397,12 @@ mod sys {
         pub fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        pub fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
     }
 }
 
-/// Self-pipe used to interrupt `epoll_wait` from worker threads (parks
-/// and shutdown). A full pipe is fine: a failed write means a wake is
-/// already pending, and the loop drains the whole inbox per iteration.
+/// Self-pipe used to interrupt `epoll_wait` from another thread. A full
+/// pipe is fine: a failed write means a wake is already pending.
 #[cfg(target_os = "linux")]
 struct Waker {
     read_fd: std::os::raw::c_int,
@@ -307,24 +458,6 @@ impl Drop for Waker {
     }
 }
 
-/// There is no epoll off Linux: the stub waker cannot exist, so
-/// [`EventShared::new`] fails with `Unsupported`.
-#[cfg(not(target_os = "linux"))]
-enum Waker {}
-
-#[cfg(not(target_os = "linux"))]
-impl Waker {
-    fn new() -> std::io::Result<Waker> {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "the event loop requires linux epoll",
-        ))
-    }
-    fn wake(&self) {
-        match *self {}
-    }
-}
-
 /// Thin RAII wrapper over an epoll instance.
 #[cfg(target_os = "linux")]
 struct Poller {
@@ -342,27 +475,64 @@ impl Poller {
         Ok(Poller { epfd })
     }
 
-    fn add(&self, fd: std::os::raw::c_int, token: u64, events: u32) -> std::io::Result<()> {
+    /// The workers' instance: connections join it as they park, and
+    /// `stop` wakes every waiter at shutdown (level-triggered, never
+    /// drained).
+    fn conns(stop: &Waker) -> std::io::Result<Poller> {
+        let poller = Poller::new()?;
+        poller.ctl(sys::EPOLL_CTL_ADD, stop.read_fd, STOP_TOKEN, sys::EPOLLIN)?;
+        Ok(poller)
+    }
+
+    /// The loop's instance: the listener and the waker, both
+    /// level-triggered.
+    fn control(listener: &TcpListener, waker: &Waker) -> std::io::Result<Poller> {
+        use std::os::unix::io::AsRawFd;
+        let poller = Poller::new()?;
+        poller.ctl(
+            sys::EPOLL_CTL_ADD,
+            listener.as_raw_fd(),
+            LISTENER_TOKEN,
+            sys::EPOLLIN,
+        )?;
+        poller.ctl(sys::EPOLL_CTL_ADD, waker.read_fd, WAKER_TOKEN, sys::EPOLLIN)?;
+        Ok(poller)
+    }
+
+    fn ctl(
+        &self,
+        op: std::os::raw::c_int,
+        fd: std::os::raw::c_int,
+        token: u64,
+        events: u32,
+    ) -> std::io::Result<()> {
         let mut ev = sys::EpollEvent {
             events,
             data: token,
         };
         // SAFETY: epfd and fd are live fds; ev is a valid epoll_event.
-        let rc = unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) };
+        let rc = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc != 0 {
             return Err(std::io::Error::last_os_error());
         }
         Ok(())
     }
 
-    fn delete(&self, fd: std::os::raw::c_int) {
-        // SAFETY: epfd is live; a stale fd makes this a harmless ENOENT.
-        // Linux < 2.6.9 required a non-null event for DEL; passing one
-        // keeps this portable across everything that can run us.
-        let mut ev = sys::EpollEvent { events: 0, data: 0 };
-        unsafe {
-            let _ = sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut ev);
-        }
+    /// Arm a connection for one readiness event under `token`: added to
+    /// the interest set when `register`, re-armed in place otherwise.
+    fn arm(&self, stream: &TcpStream, token: u64, register: bool) -> std::io::Result<()> {
+        use std::os::unix::io::AsRawFd;
+        let op = if register {
+            sys::EPOLL_CTL_ADD
+        } else {
+            sys::EPOLL_CTL_MOD
+        };
+        self.ctl(
+            op,
+            stream.as_raw_fd(),
+            token,
+            sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLONESHOT,
+        )
     }
 
     /// Wait for readiness, retrying on EINTR. `timeout` is rounded up
@@ -388,6 +558,14 @@ impl Poller {
             }
         }
     }
+
+    /// Wait for at most one event and return its token: a worker takes
+    /// one connection per wait, so the others stay with idle workers.
+    fn wait_one(&self, timeout: Duration) -> std::io::Result<Option<u64>> {
+        let mut event = [sys::EpollEvent { events: 0, data: 0 }];
+        let n = self.wait(&mut event, timeout)?;
+        Ok((n == 1).then(|| event[0].data))
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -400,172 +578,146 @@ impl Drop for Poller {
     }
 }
 
-/// Run the multiplexer until shutdown. Owns accept, parking, idle
-/// deadlines, and final close of parked connections; everything with
-/// readable bytes goes to the worker pool through `shared`.
+/// There is no epoll off Linux: the stub waker cannot exist, so
+/// [`EventShared::new`] fails with `Unsupported`.
+#[cfg(not(target_os = "linux"))]
+enum Waker {}
+
+#[cfg(not(target_os = "linux"))]
+impl Waker {
+    fn new() -> std::io::Result<Waker> {
+        Err(unsupported())
+    }
+    fn wake(&self) {
+        match *self {}
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+enum Poller {}
+
+#[cfg(not(target_os = "linux"))]
+impl Poller {
+    fn conns(stop: &Waker) -> std::io::Result<Poller> {
+        match *stop {}
+    }
+    fn control(_listener: &TcpListener, waker: &Waker) -> std::io::Result<Poller> {
+        match *waker {}
+    }
+    fn arm(&self, _stream: &TcpStream, _token: u64, _register: bool) -> std::io::Result<()> {
+        match *self {}
+    }
+    fn wait_one(&self, _timeout: Duration) -> std::io::Result<Option<u64>> {
+        match *self {}
+    }
+}
+
+/// Run the multiplexer's own thread until shutdown: accept (each new
+/// connection is parked for its first request), idle deadlines, and
+/// the final close of parked connections.
 #[cfg(target_os = "linux")]
 pub fn run_event_loop(
-    listener: &std::net::TcpListener,
+    listener: &TcpListener,
     shared: &EventShared,
-    idle_timeout: Duration,
     hooks: EventHooks<'_>,
 ) -> std::io::Result<()> {
-    use std::collections::HashMap;
-    use std::os::unix::io::AsRawFd;
-    use std::time::Instant;
-
-    struct Parked {
-        conn: EventConn,
-        deadline: Instant,
-    }
-
-    const LISTENER_TOKEN: u64 = u64::MAX;
-    const WAKER_TOKEN: u64 = u64::MAX - 1;
-
-    listener.set_nonblocking(true)?;
-    let poller = Poller::new()?;
-    poller.add(listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)?;
-    poller.add(shared.waker.read_fd, WAKER_TOKEN, sys::EPOLLIN)?;
-
-    let mut parked: HashMap<u64, Parked> = HashMap::new();
-    // Cheapest parked deadline, maintained incrementally: inserts can
-    // only pull it earlier, so the full O(parked) rescan happens only
-    // when it actually fires. Removals may leave it stale-early, which
-    // costs at most one spurious timeout wakeup, never a late expiry.
-    let mut next_deadline: Option<Instant> = None;
-    let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+    let mut events = [sys::EpollEvent { events: 0, data: 0 }; 2];
+    let mut retired = Vec::new();
 
     while !shared.is_shutdown() {
-        // Park inbox: buffered pipelined bytes are invisible to the
-        // kernel, so those connections requeue straight to the ready
-        // tail; empty ones enter the epoll interest set.
-        for conn in shared.drain_inbox() {
-            if conn.buf.has_buffered() {
-                shared.push_ready(conn);
-                continue;
-            }
-            let fd = conn.stream.as_raw_fd();
-            let token = fd as u64;
-            let deadline = Instant::now() + idle_timeout;
-            match poller.add(
-                fd,
-                token,
-                sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLONESHOT,
-            ) {
-                Ok(()) => {
-                    next_deadline = Some(next_deadline.map_or(deadline, |d| d.min(deadline)));
-                    parked.insert(token, Parked { conn, deadline });
-                }
-                Err(_) => (hooks.on_retire)(conn.served),
-            }
-        }
-        shared
-            .counters
-            .parked_connections
-            .store(parked.len() as u64, Ordering::Relaxed);
-
         // Timer wheel, cheapest-deadline flavor: sleep until the
-        // nearest parked deadline, capped defensively.
-        let now = Instant::now();
-        let timeout = match next_deadline {
-            Some(d) => IDLE_POLL_CAP.min(d.saturating_duration_since(now)),
-            None => IDLE_POLL_CAP,
+        // nearest parked deadline, capped defensively. Parks with an
+        // earlier deadline than this sleep wake the loop.
+        let timeout = {
+            let mut set = shared.parked.lock().unwrap();
+            let now = Instant::now();
+            let timeout = match set.next_deadline {
+                Some(d) => IDLE_POLL_CAP.min(d.saturating_duration_since(now)),
+                None => IDLE_POLL_CAP,
+            };
+            set.sleep_until = Some(now + timeout);
+            timeout
         };
-
-        let n = poller.wait(&mut events, timeout)?;
-        shared.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-        if n > 0 {
-            shared
-                .counters
-                .readiness_batches
-                .fetch_add(1, Ordering::Relaxed);
-        }
-
+        let n = shared.control.wait(&mut events, timeout)?;
+        shared.counters.count_wait(n);
+        let mut accept = false;
         for ev in &events[..n] {
             let token = ev.data; // copy out of the (packed) event
             match token {
-                LISTENER_TOKEN => {
-                    for _ in 0..ACCEPT_BURST {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                (hooks.on_accept)();
-                                // Non-blocking so the worker's boundary
-                                // probe parks instead of blocking.
-                                let _ = stream.set_nonblocking(true);
-                                shared.push_ready(EventConn::new(stream));
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(_) => {
-                                (hooks.on_accept_error)();
-                                // The listener stays level-triggered
-                                // readable while accept fails (fd
-                                // exhaustion): without a backoff the
-                                // loop would spin hot on it.
-                                std::thread::sleep(ACCEPT_BACKOFF);
-                                break;
-                            }
-                        }
-                    }
-                }
-                WAKER_TOKEN => shared.waker.drain(),
-                token => {
-                    // EPOLLONESHOT already disarmed the fd; deleting it
-                    // keeps the interest set in lockstep with `parked`
-                    // so re-parks can always use CTL_ADD.
-                    if let Some(p) = parked.remove(&token) {
-                        poller.delete(p.conn.stream.as_raw_fd());
-                        // Readable, error, and hangup all wake a worker:
-                        // the worker's read observes EOF/reset and runs
-                        // the normal close path with full bookkeeping.
-                        shared.push_ready(p.conn);
-                    }
-                }
+                LISTENER_TOKEN => accept = true,
+                _ => shared.waker.drain(),
             }
         }
 
         // Expire idle connections — only when the cached cheapest
-        // deadline has actually fired. A parked socket has no unread
-        // bytes, so dropping it sends a clean FIN — the idle-timeout
-        // close the roundtrip tests assert on.
-        let now = Instant::now();
-        if next_deadline.is_some_and(|d| d <= now) {
-            let expired: Vec<u64> = parked
-                .iter()
-                .filter(|(_, p)| p.deadline <= now)
-                .map(|(t, _)| *t)
-                .collect();
-            for token in expired {
-                if let Some(p) = parked.remove(&token) {
-                    poller.delete(p.conn.stream.as_raw_fd());
-                    shared
-                        .counters
-                        .timer_expiries
-                        .fetch_add(1, Ordering::Relaxed);
-                    (hooks.on_retire)(p.conn.served);
+        // deadline has actually fired. The sockets close as their set
+        // entries drop: a parked socket has no unread bytes, so that is
+        // a clean FIN — the idle-timeout close the roundtrip tests
+        // assert on.
+        {
+            let mut set = shared.parked.lock().unwrap();
+            set.sleep_until = None;
+            let now = Instant::now();
+            if set.next_deadline.is_some_and(|d| d <= now) {
+                set.conns.retain(|_, p| {
+                    if p.deadline > now {
+                        return true;
+                    }
+                    retired.push(p.conn.served);
+                    false
+                });
+                set.next_deadline = set.conns.values().map(|p| p.deadline).min();
+                shared
+                    .counters
+                    .parked_connections
+                    .store(set.conns.len() as u64, Ordering::Relaxed);
+            }
+        }
+        for served in retired.drain(..) {
+            shared
+                .counters
+                .timer_expiries
+                .fetch_add(1, Ordering::Relaxed);
+            (hooks.on_retire)(served);
+        }
+
+        if accept {
+            for _ in 0..ACCEPT_BURST {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        (hooks.on_accept)();
+                        // A refused park (shutdown has begun, or
+                        // epoll refused the fd) just closes the socket.
+                        let _ = shared.park(EventConn::new(stream));
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        (hooks.on_accept_error)();
+                        // The listener stays level-triggered readable
+                        // while accept fails (fd exhaustion): without a
+                        // backoff the loop would spin hot on it.
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        break;
+                    }
                 }
             }
-            next_deadline = parked.values().map(|p| p.deadline).min();
         }
     }
 
     // Shutdown: retire everything still owned by the multiplexer so
-    // max_requests_per_connection stays truthful, then make sure no
-    // worker is left asleep on the condvar.
-    for (_, p) in parked.drain() {
+    // max_requests_per_connection stays truthful. Parks after this see
+    // the flag under the same lock and are refused.
+    for (_, p) in shared.parked.lock().unwrap().conns.drain() {
         (hooks.on_retire)(p.conn.served);
     }
-    for conn in shared.drain_inbox() {
-        (hooks.on_retire)(conn.served);
-    }
-    for conn in shared.drain_ready() {
+    for conn in shared.ready.lock().unwrap().drain(..) {
         (hooks.on_retire)(conn.served);
     }
     shared
         .counters
         .parked_connections
         .store(0, Ordering::Relaxed);
-    shared.ready_cv.notify_all();
     Ok(())
 }
 
@@ -573,55 +725,82 @@ pub fn run_event_loop(
 /// server reaches this; it keeps call sites compiling.
 #[cfg(not(target_os = "linux"))]
 pub fn run_event_loop(
-    _listener: &std::net::TcpListener,
+    _listener: &TcpListener,
     _shared: &EventShared,
-    _idle_timeout: Duration,
     _hooks: EventHooks<'_>,
 ) -> std::io::Result<()> {
-    Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
-        "event-driven io requires linux epoll",
-    ))
+    Err(unsupported())
 }
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
 
-    #[test]
-    fn next_ready_returns_none_after_shutdown() {
-        let shared = EventShared::new().unwrap();
-        shared.push_ready(EventConn::new(connect_pair().0));
-        shared.initiate_shutdown();
-        // Shutdown wins over queued work: workers must exit promptly.
-        assert!(shared.next_ready().is_none());
+    fn shared() -> (EventShared, TcpListener) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let shared = EventShared::new(&listener, Duration::from_secs(5)).unwrap();
+        (shared, listener)
     }
 
     #[test]
+    fn next_ready_returns_none_after_shutdown() {
+        let (shared, _listener) = shared();
+        let (client, _server) = connect_pair();
+        let mut conn = EventConn::new(client);
+        conn.buf = buffered(b"GET");
+        assert!(shared.park(conn).is_ok());
+        shared.initiate_shutdown();
+        // Shutdown wins over queued work: workers must exit promptly.
+        assert!(shared.next_ready().unwrap().is_none());
+    }
+
+    #[test]
+    fn parks_are_refused_after_shutdown() {
+        let (shared, _listener) = shared();
+        shared.initiate_shutdown();
+        let conn = shared.park(EventConn::new(connect_pair().0));
+        assert!(conn.is_err(), "a park after shutdown must come back");
+    }
+
+    /// A parked socket with bytes waiting is served at once, and while
+    /// buffered pipeliners wait in the ready queue a socket epoll
+    /// reports joins the queue's tail behind them.
+    #[test]
     fn ready_queue_preserves_fifo_order() {
-        let shared = EventShared::new().unwrap();
+        use std::io::Write;
+
+        let (shared, _listener) = shared();
         let (a, _ka) = connect_pair();
-        let (b, _kb) = connect_pair();
-        let mut first = EventConn::new(a);
-        first.served = 1;
-        let mut second = EventConn::new(b);
-        second.served = 2;
-        shared.push_ready(first);
-        shared.push_ready(second);
-        assert_eq!(shared.next_ready().unwrap().served, 1);
-        assert_eq!(shared.next_ready().unwrap().served, 2);
+        let (mut kb, b) = connect_pair();
+        let mut piped = EventConn::new(a);
+        piped.served = 1;
+        piped.buf = buffered(b"GET");
+        let mut socket = EventConn::new(b);
+        socket.served = 2;
+
+        assert!(shared.park(socket).is_ok());
+        assert_eq!(shared.counters.snapshot().parked_connections, 1);
+        kb.write_all(b"GET").unwrap();
+        let socket = shared.next_ready().unwrap().unwrap();
+        assert_eq!(socket.served, 2);
+        assert_eq!(shared.counters.snapshot().parked_connections, 0);
+
+        // Re-armed in place with its bytes still unread, behind a
+        // buffered pipeliner.
+        assert!(shared.park(socket).is_ok());
+        assert!(shared.park(piped).is_ok());
+        assert_eq!(shared.next_ready().unwrap().unwrap().served, 1);
+        assert_eq!(shared.next_ready().unwrap().unwrap().served, 2);
     }
 
     #[test]
     fn poller_sees_listener_readiness_and_waker_wakes() {
-        use std::os::unix::io::AsRawFd;
-
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let poller = Poller::new().unwrap();
-        poller.add(listener.as_raw_fd(), 7, sys::EPOLLIN).unwrap();
+        let waker = Waker::new().unwrap();
+        let poller = Poller::control(&listener, &waker).unwrap();
 
-        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 8];
+        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 2];
         // Nothing pending yet: a short wait times out empty.
         let n = poller.wait(&mut events, Duration::from_millis(10)).unwrap();
         assert_eq!(n, 0);
@@ -630,11 +809,10 @@ mod tests {
         let n = poller.wait(&mut events, Duration::from_secs(5)).unwrap();
         assert_eq!(n, 1);
         let token = events[0].data;
-        assert_eq!(token, 7);
+        assert_eq!(token, LISTENER_TOKEN);
+        let _accepted = listener.accept().unwrap();
 
         // A waker write must interrupt a long wait promptly.
-        let waker = Waker::new().unwrap();
-        poller.add(waker.read_fd, 9, sys::EPOLLIN).unwrap();
         let started = std::time::Instant::now();
         waker.wake();
         let n = poller.wait(&mut events, Duration::from_secs(5)).unwrap();
@@ -643,9 +821,62 @@ mod tests {
         waker.drain();
     }
 
+    /// A parked fd is re-armed in place: after its one-shot event fires,
+    /// `EPOLL_CTL_MOD` arms it again, and bytes already waiting report
+    /// at once.
+    #[test]
+    fn rearmed_connection_reports_waiting_bytes() {
+        use std::io::Write;
+
+        let stop = Waker::new().unwrap();
+        let poller = Poller::conns(&stop).unwrap();
+        let (mut client, server) = connect_pair();
+        poller.arm(&server, 7, true).unwrap();
+        client.write_all(b"a").unwrap();
+        let wait = |ms| poller.wait_one(Duration::from_millis(ms)).unwrap();
+        assert_eq!(wait(5000), Some(7));
+        // One-shot: disarmed now, though the byte is still unread.
+        assert_eq!(wait(10), None);
+        poller.arm(&server, 7, false).unwrap();
+        assert_eq!(wait(5000), Some(7));
+        // The stop pipe is level-triggered: every later wait sees it.
+        stop.wake();
+        assert_eq!(wait(5000), Some(STOP_TOKEN));
+        assert_eq!(wait(5000), Some(STOP_TOKEN));
+    }
+
+    #[test]
+    fn nowait_probe_reports_would_block_then_bytes() {
+        use std::io::Write;
+
+        let (mut client, server) = connect_pair();
+        let mut buf = [0u8; 8];
+        let err = recv_nowait(&server, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        client.write_all(b"hi").unwrap();
+        server
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // The socket itself stays blocking: wait for the bytes, then
+        // the probe returns them.
+        let mut peek = [0u8; 2];
+        assert_eq!(server.peek(&mut peek).unwrap(), 2);
+        assert_eq!(recv_nowait(&server, &mut buf).unwrap(), 2);
+        assert_eq!(&buf[..2], b"hi");
+    }
+
+    /// A receive buffer holding `bytes` as if read ahead from a socket.
+    fn buffered(bytes: &[u8]) -> RecvBuf {
+        let (mut client, server) = connect_pair();
+        std::io::Write::write_all(&mut client, bytes).unwrap();
+        let mut buf = RecvBuf::new();
+        assert!(buf.fill(&server, false).unwrap() > 0);
+        buf
+    }
+
     /// A connected socket pair so EventConn tests hold real streams.
     fn connect_pair() -> (TcpStream, TcpStream) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();

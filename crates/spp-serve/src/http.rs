@@ -19,8 +19,8 @@
 //! the connection's long-lived [`RecvBuf`] — an owned buffer that
 //! belongs to the connection, not to any one read call, so read-ahead
 //! bytes of the next pipelined request survive even when the connection
-//! is parked in the event loop and resumed on a different worker
-//! thread. It distinguishes a clean close at a request boundary
+//! is parked in epoll and resumed on a different worker thread. It
+//! distinguishes a clean close at a request boundary
 //! ([`HttpError::Closed`]) from an idle boundary timeout
 //! ([`HttpError::Idle`]) from a slow-trickled message that blew its
 //! deadline ([`HttpError::Deadline`], the slowloris guard) from a
@@ -75,9 +75,9 @@ pub enum HttpError {
     /// keep-alive conversation, not a failure.
     Closed,
     /// Zero bytes arrived within the read timeout at a message boundary —
-    /// the connection is idle, not broken. The server uses this to slice
-    /// its idle wait so shutdown stays prompt; the event-loop worker uses
-    /// it as the signal to park the connection back into epoll.
+    /// the connection is idle, not broken. For the server's boundary
+    /// probe, which does not wait, it is the signal to park the
+    /// connection back into epoll.
     Idle,
     /// The message started but did not finish within the caller's
     /// whole-message budget — a byte-at-a-time trickler (slowloris)
@@ -153,7 +153,7 @@ const RECV_CHUNK: usize = 8 * 1024;
 /// A connection's owned receive buffer: read-ahead bytes (the start of a
 /// pipelined next request, a half-delivered message) live here, not in a
 /// stack-local reader, so they survive the connection being parked in
-/// the event loop and resumed on a different worker thread. One
+/// epoll and resumed on a different worker thread. One
 /// `RecvBuf` per connection, for the connection's whole life.
 #[derive(Debug, Default)]
 pub struct RecvBuf {
@@ -167,9 +167,9 @@ impl RecvBuf {
         RecvBuf::default()
     }
 
-    /// Whether undelivered bytes are buffered — an event-loop connection
-    /// parked with buffered bytes must be requeued immediately (epoll
-    /// only sees kernel-side readiness, never userspace buffers).
+    /// Whether undelivered bytes are buffered — a connection parked with
+    /// buffered bytes must be requeued immediately (epoll only sees
+    /// kernel-side readiness, never userspace buffers).
     pub fn has_buffered(&self) -> bool {
         self.start < self.end
     }
@@ -192,30 +192,32 @@ impl RecvBuf {
         n
     }
 
-    /// Refill from the socket (only legal when empty). `Ok(0)` is EOF.
-    fn fill(&mut self, stream: &TcpStream) -> std::io::Result<usize> {
+    /// Refill from the socket (only legal when empty); with `nowait` the
+    /// read returns `WouldBlock` instead of waiting. `Ok(0)` is EOF.
+    pub(crate) fn fill(&mut self, stream: &TcpStream, nowait: bool) -> std::io::Result<usize> {
         debug_assert!(!self.has_buffered());
         if self.data.is_empty() {
             self.data = vec![0u8; RECV_CHUNK];
         }
         self.start = 0;
         self.end = 0;
-        let n = (&mut &*stream).read(&mut self.data)?;
+        let n = if nowait {
+            crate::event::recv_nowait(stream, &mut self.data)?
+        } else {
+            (&mut &*stream).read(&mut self.data)?
+        };
         self.end = n;
         Ok(n)
     }
 }
 
 /// One in-flight message read: tracks whether the message has started
-/// (`live`), arms the whole-message deadline on the first byte, and —
-/// for event-mode boundary probes — flips the socket from non-blocking
-/// back to blocking once a message is actually arriving, so the rest of
-/// the parse reads like the blocking path.
+/// (`live`) and arms the whole-message deadline on the first byte.
 struct MsgIn<'a> {
     stream: &'a TcpStream,
     buf: &'a mut RecvBuf,
-    /// Socket is currently non-blocking (an event-loop boundary probe);
-    /// cleared when the first byte of the message arrives.
+    /// The boundary read is a probe that does not wait (the server's
+    /// check for a next request); reads after the first byte block.
     nonblocking: bool,
     /// Whole-message time budget, armed at the first byte.
     budget: Option<Duration>,
@@ -242,28 +244,22 @@ impl<'a> MsgIn<'a> {
 
     /// The first byte of the message has arrived: the conversation is
     /// live, stalls are now errors, and the deadline clock starts.
-    fn mark_live(&mut self) -> Result<(), HttpError> {
+    fn mark_live(&mut self) {
         if self.live {
-            return Ok(());
+            return;
         }
         self.live = true;
-        if self.nonblocking {
-            self.stream.set_nonblocking(false).map_err(io_error)?;
-            self.nonblocking = false;
-        }
         if let Some(budget) = self.budget {
             self.deadline = Some(Instant::now() + budget);
         }
-        Ok(())
     }
 
     /// Bound the next blocking read by [`IO_TIMEOUT`] and whatever is
     /// left of the message deadline.
     fn arm_read_timeout(&mut self) -> Result<(), HttpError> {
         if !self.live {
-            // At a boundary the caller owns the timeout: the server's
-            // sliced idle wait, the client's IO_TIMEOUT, or a
-            // non-blocking probe that returns instantly.
+            // At a boundary the caller owns the wait: the client's
+            // IO_TIMEOUT, or the server's probe that does not wait.
             return Ok(());
         }
         let mut timeout = IO_TIMEOUT;
@@ -295,11 +291,11 @@ impl<'a> MsgIn<'a> {
     fn next_byte(&mut self) -> Result<Option<u8>, HttpError> {
         loop {
             if let Some(b) = self.buf.pop() {
-                self.mark_live()?;
+                self.mark_live();
                 return Ok(Some(b));
             }
             self.arm_read_timeout()?;
-            match self.buf.fill(self.stream) {
+            match self.buf.fill(self.stream, self.nonblocking && !self.live) {
                 Ok(0) => return Ok(None),
                 Ok(_) => {}
                 Err(e) if is_timeout(&e) => return Err(self.map_read_timeout()),
@@ -313,14 +309,14 @@ impl<'a> MsgIn<'a> {
     fn read_into(&mut self, out: &mut [u8]) -> Result<usize, HttpError> {
         let n = self.buf.take(out);
         if n > 0 {
-            self.mark_live()?;
+            self.mark_live();
             return Ok(n);
         }
         self.arm_read_timeout()?;
         match (&mut &*self.stream).read(out) {
             Ok(0) => Ok(0),
             Ok(n) => {
-                self.mark_live()?;
+                self.mark_live();
                 Ok(n)
             }
             Err(e) if is_timeout(&e) => Err(self.map_read_timeout()),
@@ -394,12 +390,12 @@ fn connection_closes(version: &str, connection: Option<&str>) -> bool {
 ///
 /// At the message boundary, the caller owns the wait: whatever read
 /// timeout is set governs the idle wait for the request line
-/// ([`HttpError::Idle`] on expiry), and with `nonblocking` (an
-/// event-loop boundary probe) a socket with nothing readable returns
-/// `Idle` immediately instead of blocking — the worker's signal to park
-/// the connection back into epoll. Once the first byte arrives the
-/// conversation is live: the socket is switched back to blocking (if it
-/// wasn't), every read is bounded by [`IO_TIMEOUT`], and with `budget`
+/// ([`HttpError::Idle`] on expiry), and with `nonblocking` (the
+/// server's boundary probe, a `recv(MSG_DONTWAIT)`) a socket with
+/// nothing readable returns `Idle` immediately instead of blocking — the
+/// worker's signal to park the connection back into epoll. Once the
+/// first byte arrives the conversation is live: every read blocks,
+/// bounded by [`IO_TIMEOUT`], and with `budget`
 /// set the *whole message* — request line, headers, and body — must
 /// complete within it or the read fails with [`HttpError::Deadline`]
 /// (the slowloris guard: a byte-at-a-time client cannot pin a worker

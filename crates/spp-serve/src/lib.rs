@@ -38,9 +38,9 @@
 //! [`http::Client`]: a base URL and the fleet's bearer token, whose calls
 //! ride a per-thread pooled connection and get one bounded retry.
 //! Connections are served by the [`event`] module's epoll multiplexer,
-//! so the server runs on Linux only: idle keep-alive connections park on
-//! one event-loop thread, and a fixed worker pool — bounded by
-//! construction, no thread per connection — serves only connections
+//! so the server runs on Linux only: idle keep-alive connections park in
+//! epoll, not on a thread, and a fixed worker pool — bounded by
+//! construction, no thread per connection — waits there for connections
 //! with readable bytes.
 //!
 //! ## Deployment sketch

@@ -47,16 +47,18 @@
 //!
 //! ## Execution model
 //!
-//! One event-loop thread ([`crate::event`]) owns the listener and every
-//! *idle* connection through epoll; a fixed pool of `workers` threads
-//! only ever touches connections with readable bytes. A parked
-//! keep-alive client costs a file descriptor, not a worker, so
+//! Every keep-alive connection between requests is parked in epoll
+//! ([`crate::event`]), and a fixed pool of `workers` threads waits
+//! there: a request's bytes wake one worker, which serves the request
+//! and parks the connection again. One event-loop thread accepts
+//! connections and closes idle ones; it never touches a request. A
+//! parked keep-alive client costs a file descriptor, not a worker, so
 //! `workers` bounds concurrent requests (and hence concurrent solves),
 //! not connections. A worker serves at most
 //! [`ServeConfig::turn_requests`] pipelined requests per readiness turn
 //! before re-parking the connection, so one greedy pipeliner cannot
-//! starve the ready queue. The loop needs epoll, so the server runs on
-//! Linux only: elsewhere [`Server::bind`] fails.
+//! starve the others. The server needs epoll, so it runs on Linux only:
+//! elsewhere [`Server::bind`] fails.
 //!
 //! A connection is closed when the client asks
 //! (`Connection: close`, or HTTP/1.0 without keep-alive), when its
@@ -423,7 +425,6 @@ struct State {
     latency: AtomicHist,
     max_body: usize,
     keepalive_requests: u64,
-    idle_timeout: Duration,
     /// Whole-message parse deadline (the slowloris guard).
     header_timeout: Duration,
     /// Per-readiness-turn pipelining cap.
@@ -432,8 +433,8 @@ struct State {
     max_budget_ms: u64,
     /// Largest `improve_streams=` a `/solve` request may ask for.
     max_improve_streams: u64,
-    /// State shared with the event loop: its queues, waker, counters and
-    /// the shutdown flag.
+    /// State shared by the event loop and the workers: epoll, the parked
+    /// set, the ready queue, counters and the shutdown flag.
     event: EventShared,
     token: Option<String>,
     started: Instant,
@@ -494,7 +495,8 @@ impl Server {
             }
             None => None,
         };
-        let event = EventShared::new().map_err(|e| ServeError::Bind {
+        let idle_timeout = config.idle_timeout.max(Duration::from_millis(1));
+        let event = EventShared::new(&listener, idle_timeout).map_err(|e| ServeError::Bind {
             addr: config.addr.clone(),
             err: format!("cannot set up the event loop: {e}"),
         })?;
@@ -510,7 +512,6 @@ impl Server {
                 latency: AtomicHist::new(),
                 max_body: config.max_body,
                 keepalive_requests: config.keepalive_requests.max(1),
-                idle_timeout: config.idle_timeout.max(Duration::from_millis(1)),
                 header_timeout: config.header_timeout.max(Duration::from_millis(1)),
                 turn_requests: config.turn_requests.max(1),
                 max_budget_ms: config.max_budget_ms,
@@ -535,16 +536,21 @@ impl Server {
     /// Serve until [`ServerHandle::shutdown`] flips the flag. Blocks on
     /// the event loop and a fixed pool of `workers` threads: concurrent
     /// requests — and so concurrent solves — are bounded at `workers` by
-    /// construction.
-    pub fn run(self) {
-        run_event(&self.listener, &self.state, self.workers);
+    /// construction. Returns the error that stopped the event loop or a
+    /// worker's wait, if one did.
+    pub fn run(self) -> std::io::Result<()> {
+        run_event(&self.listener, &self.state, self.workers)
     }
 
     /// Run on a background thread; the returned handle stops the pool.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.addr;
         let state = Arc::clone(&self.state);
-        let thread = std::thread::spawn(move || self.run());
+        let thread = std::thread::spawn(move || {
+            if let Err(e) = self.run() {
+                eprintln!("spp-serve: event loop failed: {e}");
+            }
+        });
         ServerHandle {
             addr,
             state,
@@ -583,19 +589,19 @@ impl ServerHandle {
     /// Flip the shutdown flag, wake the loop and every worker, and join
     /// them.
     pub fn shutdown(self) {
-        // The self-pipe wakes the loop, the condvar broadcast wakes the
-        // pool.
+        // One pipe wakes the loop, the never-drained stop pipe wakes
+        // every worker.
         self.state.event.initiate_shutdown();
         let _ = self.thread.join();
     }
 }
 
-/// The service: one multiplexer thread (accept + parked connections +
-/// idle deadlines) and `workers` pool threads that only ever touch
-/// connections with readable bytes. The scope joins everything before
-/// returning, and the loop always broadcasts shutdown on exit so no
-/// worker can be left asleep.
-fn run_event(listener: &TcpListener, state: &State, workers: usize) {
+/// The service: the event loop on this thread (accept + idle deadlines)
+/// and `workers` pool threads that wait in epoll for connections with
+/// readable bytes. The scope joins everything before returning, and
+/// the loop and every worker broadcast shutdown on exit so no thread
+/// can be left asleep.
+fn run_event(listener: &TcpListener, state: &State, workers: usize) -> std::io::Result<()> {
     let shared = &state.event;
     let counters = &state.counters;
     let on_accept = || {
@@ -612,28 +618,38 @@ fn run_event(listener: &TcpListener, state: &State, workers: usize) {
             .fetch_max(u64::from(served), Ordering::Relaxed);
     };
     std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let hooks = EventHooks {
-                on_accept: &on_accept,
-                on_accept_error: &on_accept_error,
-                on_retire: &on_retire,
-            };
-            let result = event::run_event_loop(listener, shared, state.idle_timeout, hooks);
-            // Whatever ended the loop — shutdown or an epoll failure —
-            // the pool must not be left blocked on the ready queue.
-            shared.initiate_shutdown();
-            if let Err(e) = result {
-                eprintln!("spp-serve: event loop failed: {e}");
-            }
-        });
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some(conn) = shared.next_ready() {
-                    event_serve(conn, state, shared);
-                }
-            });
-        }
-    });
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let served = run_worker(state, shared);
+                    // A worker whose wait failed takes the server down
+                    // with it rather than shrinking the pool silently.
+                    shared.initiate_shutdown();
+                    served
+                })
+            })
+            .collect();
+        let hooks = EventHooks {
+            on_accept: &on_accept,
+            on_accept_error: &on_accept_error,
+            on_retire: &on_retire,
+        };
+        let result = event::run_event_loop(listener, shared, hooks);
+        // Whatever ended the loop — shutdown or an epoll failure — the
+        // pool must not be left waiting.
+        shared.initiate_shutdown();
+        pool.into_iter()
+            .map(|worker| worker.join().unwrap_or(Ok(())))
+            .fold(result, Result::and)
+    })
+}
+
+/// One pool worker: serve connections until shutdown or a failed wait.
+fn run_worker(state: &State, shared: &EventShared) -> std::io::Result<()> {
+    while let Some(conn) = shared.next_ready()? {
+        event_serve(conn, state, shared);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -756,7 +772,7 @@ fn respond(stream: &TcpStream, request: &Request, served: u64, state: &State) ->
 
 /// What a worker does with a connection after one readiness turn.
 enum Turn {
-    /// Return it to the event loop (idle, or the per-turn cap).
+    /// Park it until its next bytes (idle, or the per-turn cap).
     Park(EventConn),
     /// Done with it; the payload is its served-request count.
     Close(u32),
@@ -766,26 +782,27 @@ enum Turn {
 /// back to the loop, closes record `max_requests_per_connection` (the
 /// loop does the same for connections it retires itself).
 fn event_serve(conn: EventConn, state: &State, shared: &EventShared) {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let closed = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         serve_turn(conn, state, shared)
     })) {
-        Ok(Turn::Park(conn)) => shared.park(conn),
-        Ok(Turn::Close(served)) => {
-            state
-                .counters
-                .max_requests_per_connection
-                .fetch_max(u64::from(served), Ordering::Relaxed);
-        }
+        Ok(Turn::Park(conn)) => shared.park(conn).err().map(|conn| conn.served),
+        Ok(Turn::Close(served)) => Some(served),
         // The connection was lost to the unwind (already closed by its
         // Drop); per-request panics were caught inside `respond`, so
         // this only fires on turn-plumbing bugs.
-        Err(_) => {}
+        Err(_) => None,
+    };
+    if let Some(served) = closed {
+        state
+            .counters
+            .max_requests_per_connection
+            .fetch_max(u64::from(served), Ordering::Relaxed);
     }
 }
 
 /// Serve one readiness turn of a connection: requests are parsed and
-/// answered on a blocking socket, a boundary with nothing readable parks
-/// the connection instead of holding the worker, and at most
+/// answered on the blocking socket, a boundary with nothing readable
+/// parks the connection instead of holding the worker, and at most
 /// [`State::turn_requests`] pipelined requests are served before
 /// yielding it back to the ready-queue rotation.
 fn serve_turn(mut conn: EventConn, state: &State, shared: &EventShared) -> Turn {
@@ -805,11 +822,10 @@ fn serve_turn(mut conn: EventConn, state: &State, shared: &EventShared) -> Turn 
         if shared.is_shutdown() {
             return Turn::Close(conn.served);
         }
-        // Boundary probe on the non-blocking socket. The moment a first
-        // byte arrives, `read_request` flips the socket back to
-        // blocking and arms the whole-message deadline, so the rest of
-        // the parse — and the response write — block under those
-        // deadlines.
+        // Boundary probe: one read that does not wait. The moment a
+        // first byte arrives, `read_request` arms the whole-message
+        // deadline, so the rest of the parse — and the response write —
+        // block under those deadlines.
         let request = match http::read_request(
             &conn.stream,
             &mut conn.buf,
@@ -839,13 +855,9 @@ fn serve_turn(mut conn: EventConn, state: &State, shared: &EventShared) -> Turn 
         if respond(&conn.stream, &request, u64::from(conn.served), state) {
             return Turn::Close(conn.served);
         }
-        // Back to non-blocking for the next boundary probe.
-        if conn.stream.set_nonblocking(true).is_err() {
-            return Turn::Close(conn.served);
-        }
         if turn_served >= state.turn_requests {
             // Fairness: yield. With pipelined bytes still buffered the
-            // loop requeues this connection at the ready-queue tail;
+            // park queues this connection at the ready-queue tail;
             // otherwise it parks in epoll like any idle connection.
             return Turn::Park(conn);
         }

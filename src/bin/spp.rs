@@ -888,8 +888,18 @@ fn cmd_dispatch(args: &Args) -> ExitCode {
         },
         server.io_mode().name()
     );
-    server.run();
-    ExitCode::SUCCESS
+    run_server(server)
+}
+
+/// Serve until shutdown; a failed event loop exits 1.
+fn run_server(server: Server) -> ExitCode {
+    match server.run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: event loop failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// `spp work`: a pull-loop worker against a running `spp dispatch`.
@@ -1248,8 +1258,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
         if config.readonly { " (read-only)" } else { "" },
         server.io_mode().name()
     );
-    server.run();
-    ExitCode::SUCCESS
+    run_server(server)
 }
 
 /// Apply the listener flags shared by `spp serve` and `spp dispatch`:

@@ -578,22 +578,6 @@ fn removed_manifest_flag_is_rejected_with_pointer_to_cache_dir() {
     );
 }
 
-/// `--io-mode` is gone: every server runs the epoll event loop, so the
-/// flag is refused like any unlisted one, by name.
-#[test]
-fn removed_io_mode_flag_is_refused_by_name() {
-    for command in [
-        &["serve", "--cache-dir", "/nonexistent"][..],
-        &["dispatch", "--input-dir", "/nonexistent"],
-        &["bench", "serve"],
-    ] {
-        let mut args = command.to_vec();
-        args.extend(["--io-mode", "event"]);
-        let stderr = refused(&args);
-        assert!(stderr.contains("--io-mode"), "{args:?}: {stderr}");
-    }
-}
-
 /// `--cache-readonly` consults but never grows the cache.
 #[test]
 fn cache_readonly_serves_without_writing() {
@@ -888,7 +872,9 @@ fn budgeted_shard_defaults_to_one_improve_stream_on_every_host() {
 }
 
 /// Every usage-entry lookup: each command and batch mode refuses a flag
-/// its entry does not list, naming it (exit 2, never a panic).
+/// its entry does not list, naming it (exit 2, never a panic). That
+/// includes `--io-mode`, gone since every server runs the epoll event
+/// loop.
 #[test]
 fn every_command_refuses_an_unknown_flag() {
     let commands: [&[&str]; 17] = [
@@ -911,10 +897,12 @@ fn every_command_refuses_an_unknown_flag() {
         &["algos"],
     ];
     for command in commands {
-        let mut args = command.to_vec();
-        args.push("--no-such-flag");
-        let stderr = refused(&args);
-        assert!(stderr.contains("--no-such-flag"), "{args:?}: {stderr}");
+        for flag in [&["--no-such-flag"][..], &["--io-mode", "event"]] {
+            let mut args = command.to_vec();
+            args.extend(flag);
+            let stderr = refused(&args);
+            assert!(stderr.contains(flag[0]), "{args:?}: {stderr}");
+        }
     }
 }
 
